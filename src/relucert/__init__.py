@@ -10,9 +10,9 @@ and an adversarial fine-tuning loop.
 
 __version__ = "0.1.0"
 
-from .affine import AffineExpr, AffineVector, affine_dense, maxpool_fix, relu_fix
-from .encoder import (DisjunctiveEncoding, HalfspaceConstraint, LinearRegion,
-                      build_disjunctive, extract_region, output_constraints)
+from .affine import AffineVector, affine_dense, maxpool_fix, relu_fix
+from .encoder import (DisjunctiveEncoding, LinearRegion, build_disjunctive,
+                      extract_region, output_constraints)
 from .lp import (LazyStats, LinearConstraint, LPProblem, LPSolution, SimplexError,
                  lazy_solve, linf_box_problem, simplex_solve)
 from .metrics import RobustnessCurve, RobustnessStats, compute_curve, compute_stats

@@ -16,24 +16,6 @@ from .model import Conv, Dense
 
 
 @dataclass(frozen=True, eq=False)
-class AffineExpr:
-    """coeffs . x + bias"""
-
-    coeffs: np.ndarray
-    bias: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        object.__setattr__(self, "bias", float(self.bias))
-
-    def eval(self, x) -> float:
-        return float(self.coeffs @ np.asarray(x, dtype=float) + self.bias)
-
-    def __sub__(self, other: "AffineExpr") -> "AffineExpr":
-        return AffineExpr(self.coeffs - other.coeffs, self.bias - other.bias)
-
-
-@dataclass(frozen=True, eq=False)
 class AffineVector:
     """One affine expression per neuron: coeffs (m, n), bias (m,)."""
 
@@ -54,9 +36,6 @@ class AffineVector:
     @property
     def num_inputs(self):
         return self.coeffs.shape[1]
-
-    def expr(self, j: int) -> AffineExpr:
-        return AffineExpr(self.coeffs[j], self.bias[j])
 
     def eval(self, x) -> np.ndarray:
         return self.coeffs @ np.asarray(x, dtype=float) + self.bias

@@ -150,7 +150,10 @@ def cmd_certify(args) -> int:
 
 
 def read_rhos(path) -> list[float]:
-    """rho values from a record file; null (no adversarial found) maps to +inf."""
+    """rho values from a record file; null (no adversarial found) maps to +inf.
+
+    A solver-error record has no rho, so it raises SimplexError.
+    """
     rhos = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -161,6 +164,9 @@ def read_rhos(path) -> list[float]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{path}: line {lineno}: {exc}") from None
+            if "error" in obj:
+                raise SimplexError(f"{path}: line {lineno}: index {obj.get('index')}:"
+                                   f" {obj['error']}")
             rho = obj.get("rho")
             rhos.append(float("inf") if rho is None else float(rho))
     return rhos

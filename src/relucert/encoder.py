@@ -1,9 +1,9 @@
 """Constraint encodings of a network around a seed input.
 
-extract_region builds the convex region on which the network is affine (one
-halfspace per ReLU unit, pairwise dominance constraints per pool window) plus
-the logit expressions valid there. build_disjunctive exposes the same
-machinery for an arbitrary activation pattern, which is what the exact
+extract_region builds the convex region on which the network is affine as
+rows A x + b >= 0 (one per ReLU unit, one per non-selected unit of each pool
+window) plus the logit expressions valid there. build_disjunctive exposes the
+same machinery for an arbitrary activation pattern, which is what the exact
 enumeration oracle iterates over.
 """
 
@@ -14,61 +14,24 @@ from itertools import product
 
 import numpy as np
 
-from .affine import AffineExpr, AffineVector, affine_dense, maxpool_fix, relu_fix
+from .affine import AffineVector, affine_dense, maxpool_fix, relu_fix
 from .model import Conv, Dense, MaxPool, Network, Relu
-
-SENSE_GE = ">="
-SENSE_LE = "<="
-SENSE_EQ = "="
-
-
-@dataclass(frozen=True, eq=False)
-class HalfspaceConstraint:
-    """expr sense 0, e.g. (w.x + b) >= 0. origin tags the responsible layer/unit."""
-
-    expr: AffineExpr
-    sense: str
-    origin: tuple
-
-    def ge_form(self) -> tuple[np.ndarray, float]:
-        """Coefficients (c, b) of the equivalent form c.x + b >= 0."""
-        if self.sense == SENSE_GE:
-            return self.expr.coeffs, self.expr.bias
-        if self.sense == SENSE_LE:
-            return -self.expr.coeffs, -self.expr.bias
-        raise ValueError("equality constraint has no single >= form")
-
-    def slack(self, x) -> float:
-        """Signed satisfaction margin at x; >= 0 means satisfied."""
-        value = self.expr.eval(x)
-        if self.sense == SENSE_GE:
-            return value
-        if self.sense == SENSE_LE:
-            return -value
-        return -abs(value)
-
-
-def constraint_matrix(constraints, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack inequality constraints as (A, b) with rows A x + b >= 0."""
-    if not constraints:
-        return np.zeros((0, n)), np.zeros(0)
-    rows = [c.ge_form() for c in constraints]
-    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
 
 
 @dataclass(frozen=True, eq=False)
 class LinearRegion:
-    """The conjunction of halfspaces containing the seed, with logits valid on it."""
+    """The affine piece of one activation pattern, with logits valid on it.
 
-    constraints: tuple[HalfspaceConstraint, ...]
+    The piece is the set of x with constraints @ x + bias >= 0. Row k comes
+    from origin[k] = (layer, unit) for a ReLU unit or (layer, window) for a
+    pool window.
+    """
+
+    constraints: np.ndarray
+    bias: np.ndarray
+    origin: np.ndarray
     logits: AffineVector
-    seed: np.ndarray
     signature: tuple
-
-    def min_slack(self, x) -> float:
-        if not self.constraints:
-            return float("inf")
-        return min(c.slack(x) for c in self.constraints)
 
 
 @dataclass(frozen=True)
@@ -100,8 +63,8 @@ class DisjunctiveEncoding:
                    for s in self.sites]
         return product(*choices)
 
-    def instantiate(self, pattern) -> tuple[tuple[HalfspaceConstraint, ...], AffineVector]:
-        """Constraints and logit expressions for one fixed activation pattern."""
+    def instantiate(self, pattern) -> LinearRegion:
+        """Region rows and logit expressions for one fixed activation pattern."""
         pattern = tuple(pattern)
         if len(pattern) != len(self.sites):
             raise ValueError(f"pattern length {len(pattern)} != sites {len(self.sites)}")
@@ -119,49 +82,52 @@ class DisjunctiveEncoding:
             cursor += windows.shape[0]
             return sel
 
-        constraints, logits, _ = _propagate(self.net, choose_relu, choose_pool)
-        return constraints, logits
+        return _propagate(self.net, choose_relu, choose_pool)
 
 
-def _propagate(net: Network, choose_relu, choose_pool):
+def _propagate(net: Network, choose_relu, choose_pool) -> LinearRegion:
     """Run the symbolic pass, resolving each disjunction via the given choosers."""
     v = AffineVector.identity(net.input_dim)
-    constraints: list[HalfspaceConstraint] = []
+    rows = [np.zeros((0, net.input_dim))]
+    bias = [np.zeros(0)]
+    origin = [np.zeros((0, 2), dtype=int)]
     signature: list = []
     for i, layer in enumerate(net.layers):
         if isinstance(layer, (Dense, Conv)):
             v = affine_dense(layer, v)
         elif isinstance(layer, Relu):
             signs = choose_relu(i, v)
-            for j in range(len(v)):
-                sense = SENSE_GE if signs[j] else SENSE_LE
-                constraints.append(HalfspaceConstraint(v.expr(j), sense, (i, j)))
+            # active units keep pre >= 0, inactive ones -pre >= 0
+            sign = np.where(signs, 1.0, -1.0)
+            rows.append(sign[:, None] * v.coeffs)
+            bias.append(sign * v.bias)
+            origin.append(np.column_stack([np.full(len(v), i), np.arange(len(v))]))
             signature.extend(bool(s) for s in signs)
             v = relu_fix(v, signs)
         elif isinstance(layer, MaxPool):
             windows = layer.windows
             sel = choose_pool(i, v, windows)
-            if sel.min(initial=0) < 0 or (windows.shape[1] and sel.max(initial=0) >= windows.shape[1]):
-                raise ValueError("pool selection outside its window")
-            for w in range(windows.shape[0]):
-                chosen = windows[w, sel[w]]
-                for m in windows[w]:
-                    if m == chosen:
-                        continue
-                    expr = v.expr(chosen) - v.expr(int(m))
-                    constraints.append(HalfspaceConstraint(expr, SENSE_GE, (i, w)))
+            pooled = maxpool_fix(v, sel, windows)
+            # the selected unit dominates every other unit of its window
+            chosen = windows[np.arange(windows.shape[0]), sel]
+            window, pos = np.nonzero(windows != chosen[:, None])
+            other, top = windows[window, pos], chosen[window]
+            rows.append(v.coeffs[top] - v.coeffs[other])
+            bias.append(v.bias[top] - v.bias[other])
+            origin.append(np.column_stack([np.full(len(window), i), window]))
             signature.extend(int(s) for s in sel)
-            v = maxpool_fix(v, sel, windows)
+            v = pooled
         else:
             raise ValueError(f"unsupported layer type {type(layer).__name__}")
-    return tuple(constraints), v, tuple(signature)
+    return LinearRegion(np.concatenate(rows), np.concatenate(bias),
+                        np.concatenate(origin), v, tuple(signature))
 
 
 def extract_region(net: Network, seed) -> LinearRegion:
-    """Constraints and logits of the affine piece the seed lies in.
+    """Region rows and logits of the affine piece the seed lies in.
 
-    ReLU units with seed pre-activation > 0 stay active (constraint expr >= 0);
-    units at <= 0 are fixed inactive (expr <= 0, output zero). Pool windows fix
+    ReLU units with seed pre-activation > 0 stay active (row pre >= 0); units
+    at <= 0 are fixed inactive (row -pre >= 0, output zero). Pool windows fix
     their seed argmax, lowest index on ties.
     """
     seed = np.asarray(seed, dtype=float)
@@ -175,29 +141,21 @@ def extract_region(net: Network, seed) -> LinearRegion:
         values = pre.eval(seed)
         return np.argmax(values[windows], axis=1)
 
-    constraints, logits, signature = _propagate(net, choose_relu, choose_pool)
-    return LinearRegion(constraints, logits, seed, signature)
+    return _propagate(net, choose_relu, choose_pool)
 
 
-def _target_constraints(logits: AffineVector, target: int, margin: float):
-    """logit_target - logit_other - margin >= 0 for every other label."""
-    cons = []
-    for other in range(len(logits)):
-        if other == target:
-            continue
-        diff = logits.expr(target) - logits.expr(other)
-        expr = AffineExpr(diff.coeffs, diff.bias - margin)
-        cons.append(HalfspaceConstraint(expr, SENSE_GE, ("output", other)))
-    return cons
-
-
-def output_constraints(region: LinearRegion, target: int, margin: float = 0.0):
-    """Constraints forcing the region's logits to rank target on top, with margin."""
+def output_constraints(region: LinearRegion, target: int,
+                       margin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Rows G x + h >= 0 forcing the region's logits to rank target on top:
+    logit_target - logit_other - margin >= 0 for every other label, in label
+    order."""
     if not 0 <= target < len(region.logits):
         raise ValueError(f"target {target} out of range [0, {len(region.logits)})")
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    return _target_constraints(region.logits, target, margin)
+    others = np.arange(len(region.logits)) != target
+    W, c = region.logits.coeffs, region.logits.bias
+    return W[target] - W[others], c[target] - c[others] - margin
 
 
 def build_disjunctive(net: Network) -> DisjunctiveEncoding:

@@ -257,60 +257,49 @@ def simplex_solve(problem: LPProblem, max_pivots: int | None = None) -> LPSoluti
     return LPSolution(OPTIMAL, z, float(problem.objective @ z), pivots)
 
 
-def halfspace_to_constraint(h, num_vars: int) -> LinearConstraint:
-    """Embed a halfspace over the leading x-variables into the LP variable space.
+def scaled_constraints(A, b, num_vars: int) -> list[LinearConstraint]:
+    """Rows A x + b >= 0 over the leading x-variables, as '>=' constraints in
+    the LP variable space.
 
     Rows are rescaled to unit max coefficient, which keeps deep-network
     constraints well conditioned without changing the feasible set.
     """
-    if h.sense == "=":
-        coeffs, bias = h.expr.coeffs, h.expr.bias
-        sense = "="
-    else:
-        coeffs, bias = h.ge_form()
-        sense = ">="
-    a = np.zeros(num_vars)
-    a[: len(coeffs)] = coeffs
-    scale = np.abs(coeffs).max() if len(coeffs) else 0.0
-    if scale <= 0.0:
-        scale = 1.0
-    return LinearConstraint(a / scale, sense, -bias / scale)
+    scale = np.abs(A).max(axis=1, initial=0.0)
+    scale[scale <= 0.0] = 1.0
+    a = np.zeros((A.shape[0], num_vars))
+    a[:, : A.shape[1]] = A
+    a /= scale[:, None]
+    rhs = (-b) / scale
+    return [LinearConstraint(row, ">=", r) for row, r in zip(a, rhs)]
 
 
-def _default_checker(z, h) -> float:
-    return h.slack(z[: len(h.expr.coeffs)])
+def lazy_solve(core: LPProblem, A, b) -> tuple[LPSolution, LazyStats]:
+    """Solve core with the pool rows A x + b >= 0 added only as the incumbent
+    violates them.
 
-
-def lazy_solve(core: LPProblem, pool, checker=None, violation_tol: float = FEAS_TOL,
-               max_pivots: int | None = None) -> tuple[LPSolution, LazyStats]:
-    """Solve core with pool constraints added only as the incumbent violates them.
-
-    Every outer iteration solves the working LP, then appends all pool
-    constraints violated by more than violation_tol. Because the working set
-    only relaxes the full program, the final incumbent (feasible for the pool)
-    is optimal for core + pool. Infeasibility of a working subset implies
+    Every outer iteration solves the working LP, then appends all pool rows
+    violated by more than FEAS_TOL at its x part. Because the working set only
+    relaxes the full program, the final incumbent (feasible for the pool) is
+    optimal for core + pool. Infeasibility of a working subset implies
     infeasibility of the full system.
     """
-    if checker is None:
-        checker = _default_checker
     start = time.perf_counter()
     work = LPProblem(core.num_vars, core.objective.copy(),
                      list(core.constraints), core.bounds)
-    remaining = list(range(len(pool)))
+    remaining = np.arange(len(A))
     stats = LazyStats()
     while True:
-        sol = simplex_solve(work, max_pivots)
+        sol = simplex_solve(work)
         stats.outer_iterations += 1
         stats.total_pivots += sol.pivots
         if sol.status != OPTIMAL:
             break
-        violated = [k for k in remaining if checker(sol.z, pool[k]) < -violation_tol]
-        if not violated:
+        hit = A[remaining] @ sol.z[: A.shape[1]] + b[remaining] < -FEAS_TOL
+        if not hit.any():
             break
-        for k in violated:
-            work.constraints.append(halfspace_to_constraint(pool[k], core.num_vars))
-        hit = set(violated)
-        remaining = [k for k in remaining if k not in hit]
+        violated = remaining[hit]
+        work.constraints += scaled_constraints(A[violated], b[violated], core.num_vars)
+        remaining = remaining[~hit]
         stats.constraints_added += len(violated)
     stats.final_active_count = len(work.constraints)
     stats.wall_time = time.perf_counter() - start

@@ -8,10 +8,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 
-def _rho(record) -> float:
-    return record.rho_hat if hasattr(record, "rho_hat") else float(record)
-
-
 @dataclass(frozen=True)
 class RobustnessStats:
     """Fraction of points with rho <= epsilon, and their mean rho.
@@ -52,13 +48,12 @@ class RobustnessCurve:
         return list(self.points)
 
 
-def compute_stats(records, epsilon: float) -> RobustnessStats:
-    records = list(records)
-    if not records:
+def compute_stats(rhos, epsilon: float) -> RobustnessStats:
+    rhos = list(rhos)
+    if not rhos:
         raise ValueError("no records")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    rhos = [_rho(r) for r in records]
     below = [r for r in rhos if r <= epsilon]
     # the true mean of values in [0, epsilon] stays in that interval; clamp
     # away the final ulp of float summation so the invariant holds exactly
@@ -72,11 +67,11 @@ def compute_stats(records, epsilon: float) -> RobustnessStats:
     )
 
 
-def compute_curve(records) -> RobustnessCurve:
-    records = list(records)
-    if not records:
+def compute_curve(rhos) -> RobustnessCurve:
+    rhos = list(rhos)
+    if not rhos:
         raise ValueError("no records")
-    finite = sorted(r for r in (_rho(rec) for rec in records) if math.isfinite(r))
+    finite = sorted(r for r in rhos if math.isfinite(r))
     points = []
     for i, value in enumerate(finite, start=1):
         if points and points[-1][0] == value:

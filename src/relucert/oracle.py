@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import _target_constraints, build_disjunctive, constraint_matrix
-from .lp import (OPTIMAL, LPProblem, halfspace_to_constraint, linf_box_problem,
-                 simplex_solve)
+from .encoder import build_disjunctive, output_constraints
+from .lp import OPTIMAL, LPProblem, linf_box_problem, scaled_constraints, simplex_solve
 from .model import Network, classify, forward_batch
 
 _GRID_CHUNK = 1 << 16
@@ -31,25 +30,26 @@ class ExactResult:
     patterns_total: int
 
 
-def _signs_feasible(constraints, n: int) -> bool:
-    problem = LPProblem(n, np.zeros(n))
-    for h in constraints:
-        problem.constraints.append(halfspace_to_constraint(h, n))
+def _signs_feasible(region) -> bool:
+    n = region.logits.num_inputs
+    problem = LPProblem(n, np.zeros(n),
+                        scaled_constraints(region.constraints, region.bias, n))
     return simplex_solve(problem).status == OPTIMAL
 
 
-def _pattern_targets(net, seed, constraints, logits, targets, base_problem):
+def _pattern_targets(region, targets, base_problem):
     """Min-epsilon solves of one pattern for each target; yields optimal ones."""
+    nv = base_problem.num_vars
+    rows = (list(base_problem.constraints)
+            + scaled_constraints(region.constraints, region.bias, nv))
     for target in targets:
-        problem = LPProblem(base_problem.num_vars, base_problem.objective,
-                            list(base_problem.constraints), base_problem.bounds)
-        for h in constraints:
-            problem.constraints.append(halfspace_to_constraint(h, problem.num_vars))
-        for h in _target_constraints(logits, target, 0.0):
-            problem.constraints.append(halfspace_to_constraint(h, problem.num_vars))
+        problem = LPProblem(nv, base_problem.objective,
+                            rows + scaled_constraints(*output_constraints(region, target), nv),
+                            base_problem.bounds)
         solution = simplex_solve(problem)
         if solution.status == OPTIMAL:
-            yield target, max(solution.objective_value, 0.0), solution.z[: net.input_dim]
+            yield (target, max(solution.objective_value, 0.0),
+                   solution.z[: region.logits.num_inputs])
 
 
 def pattern_robustness(net: Network, seed, pattern, encoding=None):
@@ -59,13 +59,12 @@ def pattern_robustness(net: Network, seed, pattern, encoding=None):
     """
     seed = np.asarray(seed, dtype=float)
     encoding = encoding or build_disjunctive(net)
-    constraints, logits = encoding.instantiate(pattern)
+    region = encoding.instantiate(pattern)
     label = classify(net, seed)
     targets = [t for t in range(net.num_labels) if t != label]
     base = linf_box_problem(seed)
     best = (math.inf, None, None)
-    for target, rho, witness in _pattern_targets(net, seed, constraints, logits,
-                                                 targets, base):
+    for target, rho, witness in _pattern_targets(region, targets, base):
         if rho < best[0]:
             best = (rho, witness, target)
     return best
@@ -87,16 +86,14 @@ def exact_robustness(net: Network, seed, max_sites: int = 16) -> ExactResult:
     label = classify(net, seed)
     targets = [t for t in range(net.num_labels) if t != label]
     base = linf_box_problem(seed)
-    n = net.input_dim
     feasible = 0
     best_rho, best_witness, best_pattern = math.inf, None, None
     for pattern in encoding.patterns():
-        constraints, logits = encoding.instantiate(pattern)
-        if not _signs_feasible(constraints, n):
+        region = encoding.instantiate(pattern)
+        if not _signs_feasible(region):
             continue
         feasible += 1
-        for _, rho, witness in _pattern_targets(net, seed, constraints, logits,
-                                                targets, base):
+        for _, rho, witness in _pattern_targets(region, targets, base):
             if rho < best_rho:
                 best_rho, best_witness, best_pattern = rho, witness, pattern
     return ExactResult(best_rho, best_witness, best_pattern, feasible, total)
@@ -130,18 +127,6 @@ def grid_robustness(net: Network, seed, radius: float, resolution: float) -> flo
     return best
 
 
-def _instantiations(net: Network):
-    """Matrix form (A, b, W, c) of every pattern: sign rows A x + b >= 0 and
-    logits W x + c."""
-    encoding = build_disjunctive(net)
-    out = []
-    for pattern in encoding.patterns():
-        constraints, logits = encoding.instantiate(pattern)
-        A, b = constraint_matrix(constraints, net.input_dim)
-        out.append((pattern, A, b, logits.coeffs, logits.bias))
-    return out
-
-
 def satisfiable_labels(net: Network, X, tol: float = 0.0) -> np.ndarray:
     """Boolean table (k, L): whether some activation pattern's constraints hold
     at each point with each output label winning (non-strictly)."""
@@ -149,12 +134,11 @@ def satisfiable_labels(net: Network, X, tol: float = 0.0) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != net.input_dim:
         raise ValueError(f"batch shape {X.shape}, expected (k, {net.input_dim})")
     table = np.zeros((X.shape[0], net.num_labels), dtype=bool)
-    for _, A, b, W, c in _instantiations(net):
-        if A.shape[0]:
-            signs_ok = (X @ A.T + b >= -tol).all(axis=1)
-        else:
-            signs_ok = np.ones(X.shape[0], dtype=bool)
-        logits = X @ W.T + c
+    encoding = build_disjunctive(net)
+    for pattern in encoding.patterns():
+        region = encoding.instantiate(pattern)
+        signs_ok = (X @ region.constraints.T + region.bias >= -tol).all(axis=1)
+        logits = X @ region.logits.coeffs.T + region.logits.bias
         wins = logits >= logits.max(axis=1, keepdims=True) - tol
         table |= signs_ok[:, None] & wins
     return table

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import LinearRegion, extract_region, output_constraints
-from .lp import (OPTIMAL, LazyStats, halfspace_to_constraint, lazy_solve,
-                 linf_box_problem)
+from .encoder import extract_region, output_constraints
+from .lp import (INFEASIBLE, OPTIMAL, LazyStats, SimplexError, lazy_solve,
+                 linf_box_problem, scaled_constraints)
 from .model import Network, classify, second_label
 
 INFINITE_RHO = math.inf
@@ -71,27 +71,14 @@ def record_from_json(obj: dict) -> RobustnessRecord:
     )
 
 
-def _restricted_lp(seed, region: LinearRegion, target: int, margin: float,
-                   domain) -> tuple:
-    core = linf_box_problem(seed, domain)
-    for h in output_constraints(region, target, margin):
-        core.constraints.append(halfspace_to_constraint(h, core.num_vars))
-    return core
-
-
-def _solve_target(net: Network, seed, region: LinearRegion, target: int,
-                  margin: float, domain):
-    core = _restricted_lp(seed, region, target, margin, domain)
-    solution, stats = lazy_solve(core, region.constraints)
-    return solution, stats
-
-
 def pointwise_robustness(net: Network, seed, targets="second", margin: float = 0.0,
                          respect_domain: bool = False, seed_index: int = -1) -> RobustnessRecord:
     """Minimal L-infinity radius to an adversarial example inside the seed's region.
 
     targets: "second" (the runner-up label), "all" (minimum over every other
     label), or a fixed label index. A larger margin never shrinks the result.
+    Raises SimplexError when a target's solve stops short of optimal or
+    infeasible, e.g. at the iteration limit.
     """
     seed = np.asarray(seed, dtype=float)
     if seed.shape != (net.input_dim,):
@@ -116,9 +103,14 @@ def pointwise_robustness(net: Network, seed, targets="second", margin: float = 0
     best = RobustnessRecord(seed_index, label, candidates[0] if len(candidates) == 1 else None,
                             INFINITE_RHO)
     for target in candidates:
-        solution, stats = _solve_target(net, seed, region, target, margin, domain)
-        if solution.status != OPTIMAL:
+        core = linf_box_problem(seed, domain)
+        core.constraints += scaled_constraints(*output_constraints(region, target, margin),
+                                               core.num_vars)
+        solution, stats = lazy_solve(core, region.constraints, region.bias)
+        if solution.status == INFEASIBLE:
             continue
+        if solution.status != OPTIMAL:
+            raise SimplexError(f"{solution.status} on target {target}")
         rho = max(solution.objective_value, 0.0)
         if rho < best.rho_hat:
             best = RobustnessRecord(seed_index, label, target, rho,
@@ -168,9 +160,9 @@ def verify_record(net: Network, seed, record: RobustnessRecord,
     seed = np.asarray(seed, dtype=float)
     region = extract_region(net, seed)
     x = record.adversarial
-    slacks = [h.slack(x) for h in region.constraints]
-    slacks += [h.slack(x) for h in output_constraints(region, record.target_label, margin)]
-    min_slack = min(slacks) if slacks else math.inf
+    G, h = output_constraints(region, record.target_label, margin)
+    slacks = np.concatenate([region.constraints @ x + region.bias, G @ x + h])
+    min_slack = slacks.min(initial=math.inf)
     norm_gap = abs(np.abs(x - seed).max() - record.rho_hat)
     logits = region.logits.eval(x)
     ranking = logits[record.target_label] - logits.max()

@@ -13,7 +13,7 @@ from relucert import (LPProblem, classify, compute_curve, compute_stats,
                       satisfiable_labels, second_label, simplex_solve,
                       verify_record)
 from relucert.encoder import output_constraints
-from relucert.lp import halfspace_to_constraint
+from relucert.lp import scaled_constraints
 from relucert.model import Dense
 
 from helpers import (TOY_EPS_FINETUNE, TOY_EPS_MATCHED, random_conv_pool_net,
@@ -85,15 +85,14 @@ def _certification_instance(rng):
     region = extract_region(net, seed)
     target = int(rng.integers(0, 3))
     core = linf_box_problem(seed)
-    for h in output_constraints(region, target, 0.0):
-        core.constraints.append(halfspace_to_constraint(h, core.num_vars))
-    return core, list(region.constraints)
+    core.constraints += scaled_constraints(*output_constraints(region, target, 0.0),
+                                           core.num_vars)
+    return core, region.constraints, region.bias
 
 
-def _eager(core, pool):
+def _eager(core, A, b):
     full = LPProblem(core.num_vars, core.objective, list(core.constraints), core.bounds)
-    for h in pool:
-        full.constraints.append(halfspace_to_constraint(h, core.num_vars))
+    full.constraints += scaled_constraints(A, b, core.num_vars)
     return simplex_solve(full)
 
 
@@ -101,9 +100,9 @@ def test_03_lazy_equals_eager():
     with _report(3, "working-set solve equals full solve; big net stays lazy"):
         rng = np.random.default_rng(2026)
         for _ in range(100):
-            core, pool = _certification_instance(rng)
-            lazy_sol, stats = lazy_solve(core, pool)
-            eager_sol = _eager(core, pool)
+            core, A, b = _certification_instance(rng)
+            lazy_sol, stats = lazy_solve(core, A, b)
+            eager_sol = _eager(core, A, b)
             assert lazy_sol.status == eager_sol.status
             if eager_sol.status == "optimal":
                 assert abs(lazy_sol.objective_value - eager_sol.objective_value) <= 1e-6
@@ -119,16 +118,16 @@ def test_03_lazy_equals_eager():
             region = extract_region(net, seed)
             label = classify(net, seed)
             core = linf_box_problem(seed)
-            for h in output_constraints(region, second_label(net, seed), 0.0):
-                core.constraints.append(halfspace_to_constraint(h, core.num_vars))
+            core.constraints += scaled_constraints(
+                *output_constraints(region, second_label(net, seed), 0.0), core.num_vars)
             t0 = time.perf_counter()
-            lazy_sol, stats = lazy_solve(core, region.constraints)
+            lazy_sol, stats = lazy_solve(core, region.constraints, region.bias)
             lazy_time = time.perf_counter() - t0
             if lazy_sol.status != "optimal":
                 continue
             assert stats.constraints_added < 0.5 * len(region.constraints)
             t0 = time.perf_counter()
-            eager_sol = _eager(core, list(region.constraints))
+            eager_sol = _eager(core, region.constraints, region.bias)
             eager_time = time.perf_counter() - t0
             assert abs(lazy_sol.objective_value - eager_sol.objective_value) <= 1e-6
             ratios.append(eager_time / max(lazy_time, 1e-9))

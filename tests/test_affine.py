@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from relucert import (AffineExpr, AffineVector, Dense, MaxPool, affine_dense, forward,
-                      maxpool_fix, relu_fix)
+from relucert import (AffineVector, Dense, MaxPool, affine_dense, forward, maxpool_fix,
+                      relu_fix)
 from helpers import random_conv_pool_net, random_dense_relu_net
 
 
@@ -132,10 +132,3 @@ def test_coefficients_stay_input_sized():
             v = relu_fix(v, v.eval(np.zeros(3)) > 0)
         assert v.num_inputs == 3
 
-
-def test_expr_subtraction():
-    a = AffineExpr([1.0, 2.0], 3.0)
-    b = AffineExpr([0.5, -1.0], 1.0)
-    diff = a - b
-    assert np.array_equal(diff.coeffs, [0.5, 3.0])
-    assert diff.bias == 2.0

@@ -137,6 +137,19 @@ def test_stats_malformed_line_names_line_number(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_stats_and_curve_refuse_solver_error_records(tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    records.write_text('{"index": 0, "error": "phase-1 objective unbounded"}\n'
+                       '{"index": 1, "error": "phase-1 objective unbounded"}\n')
+    assert main(["stats", "--records", str(records)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 1: index 0" in captured.err
+    curve_out = tmp_path / "curve.csv"
+    assert main(["curve", "--records", str(records), "--out", str(curve_out)]) == 3
+    assert not curve_out.exists()
+
+
 def test_attack_outputs_verified_adversarials(tmp_path, toy_setup):
     net, model, data = toy_setup
     out = tmp_path / "adv.csv"

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from relucert import (LPProblem, SimplexError, extract_region, lazy_solve,
-                      linf_box_problem, simplex_solve)
-from relucert.lp import halfspace_to_constraint
+                      linf_box_problem, output_constraints, simplex_solve)
+from relucert.lp import scaled_constraints
 from helpers import random_dense_relu_net
 
 
@@ -92,28 +92,33 @@ def _random_certification_instance(rng, dims=(2, 6, 3)):
     region = extract_region(net, seed)
     core = linf_box_problem(seed)
     target = int(rng.integers(0, dims[-1]))
-    logits = region.logits
-    for other in range(dims[-1]):
-        if other == target:
-            continue
-        diff = logits.expr(target) - logits.expr(other)
-        row = np.zeros(core.num_vars)
-        row[: dims[0]] = diff.coeffs
-        core.add(row, ">=", -diff.bias)
-    return core, list(region.constraints)
+    G, h = output_constraints(region, target)
+    for row, offset in zip(G, h):
+        core.add(np.append(row, 0.0), ">=", -offset)
+    return core, region.constraints, region.bias
 
 
-def _eager_problem(core, pool):
+def _eager_problem(core, A, b):
     full = LPProblem(core.num_vars, core.objective, list(core.constraints), core.bounds)
-    for h in pool:
-        full.constraints.append(halfspace_to_constraint(h, core.num_vars))
+    full.constraints += scaled_constraints(A, b, core.num_vars)
     return full
+
+
+def test_scaled_constraints_unit_max_rows():
+    A = np.array([[2.0, -4.0], [0.0, 0.0], [0.5, 0.25]])
+    b = np.array([1.0, 3.0, -1.0])
+    rows = scaled_constraints(A, b, 3)
+    assert [c.sense for c in rows] == [">=", ">=", ">="]
+    assert np.array_equal([c.a for c in rows], [[0.5, -1.0, 0.0], [0.0, 0.0, 0.0],
+                                                [1.0, 0.5, 0.0]])
+    # a zero row keeps scale 1: 0 >= -3
+    assert [c.rhs for c in rows] == [-0.25, -3.0, 2.0]
 
 
 def test_lazy_empty_pool_equals_plain_solve():
     core = _one_dim_flip_problem(0.25)
     plain = simplex_solve(core)
-    sol, stats = lazy_solve(core, [])
+    sol, stats = lazy_solve(core, np.zeros((0, 1)), np.zeros(0))
     assert sol.status == plain.status
     assert sol.objective_value == plain.objective_value
     assert stats.outer_iterations == 1
@@ -124,32 +129,32 @@ def test_lazy_matches_eager_on_random_instances():
     rng = np.random.default_rng(71)
     solved = 0
     for _ in range(50):
-        core, pool = _random_certification_instance(rng)
-        lazy_sol, stats = lazy_solve(core, pool)
-        eager_sol = simplex_solve(_eager_problem(core, pool))
+        core, A, b = _random_certification_instance(rng)
+        lazy_sol, stats = lazy_solve(core, A, b)
+        eager_sol = simplex_solve(_eager_problem(core, A, b))
         assert lazy_sol.status == eager_sol.status
         if eager_sol.status == "optimal":
             solved += 1
             assert abs(lazy_sol.objective_value - eager_sol.objective_value) <= 1e-6
-            assert stats.constraints_added <= len(pool)
+            assert stats.constraints_added <= len(A)
     assert solved >= 15  # enough instances admit a flip in the region
 
 
 def test_lazy_solution_feasible_for_whole_pool():
     rng = np.random.default_rng(73)
     for _ in range(20):
-        core, pool = _random_certification_instance(rng)
-        sol, _ = lazy_solve(core, pool)
+        core, A, b = _random_certification_instance(rng)
+        sol, _ = lazy_solve(core, A, b)
         if sol.status != "optimal":
             continue
         x = sol.z[:-1]
-        assert min((h.slack(x) for h in pool), default=0.0) >= -1e-6
+        assert (A @ x + b).min(initial=0.0) >= -1e-6
 
 
 def test_lazy_reports_infeasible_when_full_system_is():
     core = _one_dim_flip_problem(1.0)
     core.add(np.array([1.0, 0.0]), ">=", 2.0)  # contradicts x <= -1
-    sol, stats = lazy_solve(core, [])
+    sol, stats = lazy_solve(core, np.zeros((0, 1)), np.zeros(0))
     assert sol.status == "infeasible"
     assert stats.outer_iterations >= 1
 
@@ -158,8 +163,8 @@ def test_against_scipy_linprog():
     scipy_opt = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(79)
     for _ in range(25):
-        core, pool = _random_certification_instance(rng)
-        full = _eager_problem(core, pool)
+        core, A, b = _random_certification_instance(rng)
+        full = _eager_problem(core, A, b)
         ours = simplex_solve(full)
         A_ub, b_ub = [], []
         for c in full.constraints:
@@ -216,8 +221,8 @@ def test_against_scipy_with_equalities_and_bounds():
 def test_optimal_solutions_satisfy_all_constraints():
     rng = np.random.default_rng(83)
     for _ in range(20):
-        core, pool = _random_certification_instance(rng)
-        full = _eager_problem(core, pool)
+        core, A, b = _random_certification_instance(rng)
+        full = _eager_problem(core, A, b)
         sol = simplex_solve(full)
         if sol.status != "optimal":
             continue

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from relucert import RobustnessRecord, compute_curve, compute_stats
+from relucert import compute_curve, compute_stats
 from relucert.metrics import write_curve_csv
 
 
@@ -20,13 +20,6 @@ def test_stats_all_infinite():
     assert stats.frequency == 0.0
     assert stats.severity is None
     assert stats.count_below == 0
-
-
-def test_stats_accepts_records():
-    records = [RobustnessRecord(i, 0, 1, rho) for i, rho in enumerate([5.0, math.inf])]
-    stats = compute_stats(records, 20.0)
-    assert stats.frequency == 0.5
-    assert stats.severity == 5.0
 
 
 def test_stats_threshold_is_inclusive():

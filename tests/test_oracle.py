@@ -55,8 +55,9 @@ def test_exact_witness_lies_in_its_pattern():
         if not math.isfinite(result.rho):
             continue
         enc = build_disjunctive(net)
-        constraints, _ = enc.instantiate(result.pattern)
-        assert min((c.slack(result.witness) for c in constraints), default=0.0) >= -1e-6
+        region = enc.instantiate(result.pattern)
+        slacks = region.constraints @ result.witness + region.bias
+        assert slacks.min(initial=0.0) >= -1e-6
         assert np.abs(result.witness - seed).max() == pytest.approx(result.rho, abs=1e-6)
 
 

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from relucert import (Dense, Network, classify, exact_robustness,
-                      extract_adversarial, forward, pointwise_robustness,
-                      record_from_json, record_to_json, verify_record)
+import relucert.robustness
+from relucert import (Dense, LPSolution, Network, SimplexError, classify,
+                      exact_robustness, extract_adversarial, forward,
+                      pointwise_robustness, record_from_json, record_to_json,
+                      verify_record)
+from relucert.lp import ITERATION_LIMIT, LazyStats
 from helpers import random_dense_relu_net
 
 
@@ -50,6 +53,15 @@ def test_all_policy_is_min_over_fixed_targets():
             assert combined == pytest.approx(expected, abs=1e-9)
         else:
             assert combined == math.inf
+
+
+def test_iteration_limit_raises_instead_of_not_found(gradient_trap_net, monkeypatch):
+    def stopped(core, A, b):
+        return LPSolution(ITERATION_LIMIT, None, float("nan"), 7), LazyStats()
+
+    monkeypatch.setattr(relucert.robustness, "lazy_solve", stopped)
+    with pytest.raises(SimplexError, match="iteration_limit on target 1"):
+        pointwise_robustness(gradient_trap_net, np.array([0.0]))
 
 
 def test_margin_monotonicity():
