@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 
 import numpy as np
 
@@ -135,17 +136,23 @@ def cmd_certify(args) -> int:
         open(args.out, "w").close()
         return EXIT_OK
     items = [(i, p.x) for i, p in enumerate(points)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_worker,
-                                 initargs=(net, args.target, args.margin,
-                                           args.domain_bounds)) as pool:
-            lines = list(pool.map(_certify_one, items, chunksize=4))
-    else:
-        _init_worker(net, args.target, args.margin, args.domain_bounds)
-        lines = [_certify_one(item) for item in items]
-    with open(args.out, "w") as fh:
-        for obj in lines:
-            fh.write(json.dumps(obj) + "\n")
+    initargs = (net, args.target, args.margin, args.domain_bounds)
+    failed = 0
+    with ExitStack() as stack:
+        out = stack.enter_context(open(args.out, "w", buffering=1))
+        if args.jobs > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=args.jobs, initializer=_init_worker, initargs=initargs))
+            records = pool.map(_certify_one, items, chunksize=4)
+        else:
+            _init_worker(*initargs)
+            records = map(_certify_one, items)
+        for obj in records:
+            out.write(json.dumps(obj) + "\n")
+            failed += "error" in obj
+    if failed:
+        print(f"solver error: {failed} of {len(items)} points failed", file=sys.stderr)
+        return EXIT_SOLVER
     return EXIT_OK
 
 

@@ -213,9 +213,13 @@ def simplex_solve(problem: LPProblem, max_pivots: int | None = None) -> LPSoluti
         status, pivots = _iterate(T, basis, max_pivots, pivots)
         if status == ITERATION_LIMIT:
             return LPSolution(ITERATION_LIMIT, None, float("nan"), pivots)
-        if status == "unbounded":
-            raise SimplexError("phase-1 objective unbounded")
+        # The sum of artificials cannot go below 0, so an "unbounded" column
+        # here is rounding noise in its reduced cost. With the sum already
+        # within FEAS_TOL the basis is feasible and phase 2 can start; above
+        # it, phase 1 stopped early and proves nothing.
         if -T[-1, -1] > FEAS_TOL:
+            if status == "unbounded":
+                raise SimplexError("phase-1 objective unbounded")
             return LPSolution(INFEASIBLE, None, float("inf"), pivots)
         # Drive leftover artificials out of the basis; rows where that is
         # impossible are redundant and dropped.

@@ -121,25 +121,16 @@ class Conv:
         c, h, w = self.input_shape
         oc, ic, kh, kw = self.kernel.shape
         _, oh, ow = self.output_shape
-        weights = np.zeros((self.out_dim, self.in_dim))
-        bias = np.zeros(self.out_dim)
-        for o in range(oc):
-            for oy in range(oh):
-                for ox in range(ow):
-                    row = (o * oh + oy) * ow + ox
-                    bias[row] = self.bias[o]
-                    for i in range(ic):
-                        for ky in range(kh):
-                            iy = oy * self.stride - self.padding + ky
-                            if iy < 0 or iy >= h:
-                                continue
-                            for kx in range(kw):
-                                ix = ox * self.stride - self.padding + kx
-                                if ix < 0 or ix >= w:
-                                    continue
-                                col = (i * h + iy) * w + ix
-                                weights[row, col] = self.kernel[o, i, ky, kx]
-        return Dense(weights, bias)
+        oy, ox, ky, kx = np.indices((oh, ow, kh, kw))
+        iy = oy * self.stride - self.padding + ky
+        ix = ox * self.stride - self.padding + kx
+        inside = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)
+        # Each (output pixel, input pixel) pair inside the image gets the
+        # kernel tap that joins them, for every (out, in) channel pair.
+        weights = np.zeros((oc, oh * ow, ic, h * w))
+        weights[:, (oy * ow + ox)[inside], :, (iy * w + ix)[inside]] = \
+            np.moveaxis(self.kernel[:, :, ky[inside], kx[inside]], -1, 0)
+        return Dense(weights.reshape(self.out_dim, self.in_dim), np.repeat(self.bias, oh * ow))
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,18 +183,9 @@ class MaxPool:
         c, h, w = self.input_shape
         _, oh, ow = self.output_shape
         wh, ww = self.window
-        out = np.empty((self.out_dim, wh * ww), dtype=int)
-        for ch in range(c):
-            for oy in range(oh):
-                for ox in range(ow):
-                    row = (ch * oh + oy) * ow + ox
-                    idx = [
-                        (ch * h + oy * self.stride + dy) * w + ox * self.stride + dx
-                        for dy in range(wh)
-                        for dx in range(ww)
-                    ]
-                    out[row] = idx
-        return out
+        ch, oy, ox, dy, dx = np.indices((c, oh, ow, wh, ww))
+        flat = (ch * h + oy * self.stride + dy) * w + ox * self.stride + dx
+        return flat.reshape(self.out_dim, wh * ww)
 
 
 Layer = Dense | Conv | Relu | MaxPool
@@ -265,27 +247,8 @@ class Network:
 
 
 def networks_equal(a: Network, b: Network) -> bool:
-    """Structural equality with bit-exact weights."""
-    if (a.input_dim, a.num_labels, a.input_domain) != (b.input_dim, b.num_labels, b.input_domain):
-        return False
-    if len(a.layers) != len(b.layers):
-        return False
-    for la, lb in zip(a.layers, b.layers):
-        if type(la) is not type(lb):
-            return False
-        if isinstance(la, Dense):
-            if not (np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)):
-                return False
-        elif isinstance(la, Conv):
-            if not (np.array_equal(la.kernel, lb.kernel) and np.array_equal(la.bias, lb.bias)
-                    and la.stride == lb.stride and la.padding == lb.padding
-                    and la.input_shape == lb.input_shape):
-                return False
-        elif isinstance(la, MaxPool):
-            if not (la.window == lb.window and la.stride == lb.stride
-                    and la.input_shape == lb.input_shape):
-                return False
-    return True
+    """Structural equality with bit-exact weights (-0.0 equals 0.0)."""
+    return _model_doc(a) == _model_doc(b)
 
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
@@ -293,17 +256,7 @@ def forward(net: Network, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (net.input_dim,):
         raise ValueError(f"input shape {x.shape}, expected ({net.input_dim},)")
-    for layer in net.layers:
-        if isinstance(layer, Dense):
-            x = layer.weights @ x + layer.bias
-        elif isinstance(layer, Conv):
-            d = layer.as_dense
-            x = d.weights @ x + d.bias
-        elif isinstance(layer, Relu):
-            x = np.maximum(x, 0.0)
-        else:
-            x = x[layer.windows].max(axis=1)
-    return x
+    return forward_batch(net, x[None, :])[0]
 
 
 def forward_batch(net: Network, X: np.ndarray) -> np.ndarray:
@@ -374,21 +327,22 @@ def _layer_from_json(obj: dict, index: int) -> Layer:
         if kind == "maxpool":
             return MaxPool(tuple(obj["window"]), int(obj["stride"]), tuple(obj["input_shape"]))
         raise ModelError(f"unknown layer type {kind!r}")
-    except ModelError as exc:
-        raise ModelError(f"layer {index}: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # ModelError is a ValueError
         raise ModelError(f"layer {index}: {exc}") from None
 
 
-def save_model(net: Network, path) -> None:
-    doc = {
+def _model_doc(net: Network) -> dict:
+    return {
         "input_dim": net.input_dim,
         "num_labels": net.num_labels,
         "input_domain": list(net.input_domain) if net.input_domain else None,
         "layers": [_layer_to_json(layer) for layer in net.layers],
     }
+
+
+def save_model(net: Network, path) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        json.dump(_model_doc(net), fh)
         fh.write("\n")
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Dense, LabeledPoint, Network, Relu, classify
+from .model import Dense, LabeledPoint, Network, Relu, classify, forward_batch
 from .robustness import extract_adversarial, pointwise_robustness
 from .lp import SimplexError
 
@@ -54,29 +54,25 @@ def _softmax(logits):
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def _forward_cache(layers, X):
-    """Activations entering each layer, plus the final logits."""
+def _gradients(layers, X, y):
+    """Mean cross-entropy loss of a Dense/ReLU stack on a batch, (dW, db) per
+    dense layer (None per ReLU), and the gradient with respect to X."""
     inputs = []
     a = X
-    for kind, W, b in layers:
+    for layer in layers:
         inputs.append(a)
-        a = a @ W.T + b if kind == "dense" else np.maximum(a, 0.0)
-    return inputs, a
-
-
-def _backward(layers, inputs, logits, y):
-    """Mean cross-entropy loss and its gradients."""
-    batch = logits.shape[0]
-    probs = _softmax(logits)
+        a = a @ layer.weights.T + layer.bias if isinstance(layer, Dense) else np.maximum(a, 0.0)
+    batch = a.shape[0]
+    probs = _softmax(a)
     loss = float(-np.log(probs[np.arange(batch), y] + 1e-300).mean())
     g = probs
     g[np.arange(batch), y] -= 1.0
     g /= batch
     grads = []
-    for (kind, W, b), a_in in zip(reversed(layers), reversed(inputs)):
-        if kind == "dense":
+    for layer, a_in in zip(reversed(layers), reversed(inputs)):
+        if isinstance(layer, Dense):
             grads.append((g.T @ a_in, g.sum(axis=0)))
-            g = g @ W
+            g = g @ layer.weights
         else:
             grads.append(None)
             g = g * (a_in > 0.0)
@@ -84,19 +80,12 @@ def _backward(layers, inputs, logits, y):
     return loss, grads, g
 
 
-def _as_param_layers(net: Network):
-    return [("dense", layer.weights, layer.bias) if isinstance(layer, Dense)
-            else ("relu", None, None) for layer in net.layers]
-
-
 def loss_and_gradients(net: Network, X, y) -> tuple[float, Gradient]:
     """Softmax cross-entropy over a batch and its backprop gradients."""
     _check_trainable(net)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=int))
-    layers = _as_param_layers(net)
-    inputs, logits = _forward_cache(layers, X)
-    loss, grads, g_input = _backward(layers, inputs, logits, y)
+    loss, grads, g_input = _gradients(net.layers, X, y)
     return loss, Gradient(grads, g_input)
 
 
@@ -113,29 +102,23 @@ def train(net: Network, data, cfg: TrainConfig) -> Network:
         raise ValueError("empty training set")
     X = np.stack([p.x for p in data]).astype(float)
     y = np.array([p.label for p in data], dtype=int)
-    layers = [("dense", layer.weights.copy(), layer.bias.copy())
-              if isinstance(layer, Dense) else ("relu", None, None)
-              for layer in net.layers]
+    layers = [Dense(layer.weights.copy(), layer.bias.copy()) if isinstance(layer, Dense)
+              else layer for layer in net.layers]
     rng = np.random.default_rng(cfg.seed)
     count = len(data)
     for _ in range(cfg.epochs):
         order = rng.permutation(count)
         for start in range(0, count, cfg.batch_size):
             batch = order[start: start + cfg.batch_size]
-            inputs, logits = _forward_cache(layers, X[batch])
-            _, grads, _ = _backward(layers, inputs, logits, y[batch])
-            for (kind, W, b), grad in zip(layers, grads):
-                if kind == "dense":
-                    W -= cfg.learning_rate * grad[0]
-                    b -= cfg.learning_rate * grad[1]
-    new_layers = [Dense(W, b) if kind == "dense" else Relu()
-                  for kind, W, b in layers]
-    return Network(new_layers, net.input_dim, net.num_labels, net.input_domain)
+            _, grads, _ = _gradients(layers, X[batch], y[batch])
+            for layer, grad in zip(layers, grads):
+                if grad is not None:
+                    layer.weights[:] -= cfg.learning_rate * grad[0]
+                    layer.bias[:] -= cfg.learning_rate * grad[1]
+    return Network(layers, net.input_dim, net.num_labels, net.input_domain)
 
 
 def accuracy(net: Network, data) -> float:
-    from .model import forward_batch
-
     X = np.stack([p.x for p in data])
     y = np.array([p.label for p in data])
     return float((np.argmax(forward_batch(net, X), axis=1) == y).mean())

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from relucert import (Dense, Network, classify, compute_stats, load_model,
+from relucert import (Dense, Network, SimplexError, classify, compute_stats, load_model,
                       save_model)
+from relucert import cli
 from relucert.cli import main, read_rhos
 from helpers import blobs, random_dense_relu_net
 
@@ -100,6 +101,43 @@ def test_certify_parallel_matches_serial(tmp_path, toy_setup):
     strip = lambda p: [dict(json.loads(l), timing=None)
                        for l in p.read_text().splitlines()]
     assert strip(serial) == strip(parallel)
+
+
+def _fail_at(monkeypatch, index, exc):
+    real = cli.pointwise_robustness
+
+    def certify(net, x, **kwargs):
+        if kwargs["seed_index"] == index:
+            raise exc
+        return real(net, x, **kwargs)
+
+    monkeypatch.setattr(cli, "pointwise_robustness", certify)
+
+
+def test_certify_exits_3_after_writing_every_record(tmp_path, toy_setup, monkeypatch,
+                                                    capsys):
+    _, model, data = toy_setup
+    _fail_at(monkeypatch, 1, SimplexError("phase-1 objective unbounded"))
+    out = tmp_path / "records.jsonl"
+    assert main(["certify", "--model", str(model), "--data", str(data),
+                 "--out", str(out)]) == 3
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    count = len(data.read_text().splitlines())
+    assert [r["index"] for r in records] == list(range(count))
+    assert records[1] == {"index": 1, "error": "phase-1 objective unbounded"}
+    assert all("rho" in r for r in records if r["index"] != 1)
+    assert f"solver error: 1 of {count} points failed" in capsys.readouterr().err
+
+
+def test_certify_keeps_records_written_before_an_interrupt(tmp_path, toy_setup,
+                                                           monkeypatch):
+    _, model, data = toy_setup
+    _fail_at(monkeypatch, 2, KeyboardInterrupt())
+    out = tmp_path / "records.jsonl"
+    with pytest.raises(KeyboardInterrupt):
+        main(["certify", "--model", str(model), "--data", str(data), "--out", str(out)])
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["index"] for r in records] == [0, 1]
 
 
 def test_stats_and_curve_pipe_equals_in_process(tmp_path, toy_setup, capsys):

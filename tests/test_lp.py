@@ -3,6 +3,7 @@ import pytest
 
 from relucert import (LPProblem, SimplexError, extract_region, lazy_solve,
                       linf_box_problem, output_constraints, simplex_solve)
+from relucert import lp
 from relucert.lp import scaled_constraints
 from helpers import random_dense_relu_net
 
@@ -29,12 +30,39 @@ def test_epsilon_only_problem():
     assert sol.objective_value == pytest.approx(0.0, abs=1e-12)
 
 
-def test_infeasible_interval():
+def _infeasible_interval():
     p = LPProblem(1, np.array([0.0]))
     p.add(np.array([1.0]), ">=", 1.0)
     p.add(np.array([1.0]), "<=", 0.0)
-    sol = simplex_solve(p)
+    return p
+
+
+def test_infeasible_interval():
+    sol = simplex_solve(_infeasible_interval())
     assert sol.status == "infeasible"
+
+
+def test_phase1_unbounded_report_is_noise_once_feasible(monkeypatch):
+    """Phase 1 minimizes a sum of artificials, which cannot go below 0: an
+    "unbounded" report with the sum within FEAS_TOL must not fail the solve,
+    and one with the sum above it must not pass as infeasible."""
+    real = lp._iterate
+    calls = []
+
+    def phase1_reports_unbounded(T, basis, max_pivots, pivots):
+        status, pivots = real(T, basis, max_pivots, pivots)
+        calls.append(status)
+        return ("unbounded" if len(calls) == 1 else status), pivots
+
+    expected = simplex_solve(_one_dim_flip_problem(0.4711))
+    monkeypatch.setattr(lp, "_iterate", phase1_reports_unbounded)
+    sol = simplex_solve(_one_dim_flip_problem(0.4711))
+    assert calls[0] == "optimal"
+    assert sol.status == "optimal"
+    assert np.array_equal(sol.z, expected.z)
+    calls.clear()
+    with pytest.raises(SimplexError, match="phase-1 objective unbounded"):
+        simplex_solve(_infeasible_interval())
 
 
 def test_equality_constraints():

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from relucert import (Conv, DatasetError, Dense, MaxPool, ModelError, Network,
+from relucert import (Conv, DatasetError, Dense, MaxPool, ModelError, Network, Relu,
                       classify, forward, forward_batch, load_dataset, load_model,
                       networks_equal, save_model, second_label)
 from helpers import naive_forward, random_conv_pool_net, random_dense_relu_net
@@ -140,6 +140,30 @@ def test_model_round_trip_conv_pool(tmp_path):
     path = tmp_path / "model.json"
     save_model(net, path)
     assert networks_equal(load_model(path), net)
+
+
+def _pool_conv_net(window=(2, 2), stride=3, padding=0, weight=0.0, relu=True, domain=None):
+    """Pool (1, 6, 6) -> (1, 3, 3), 3x3 conv -> (2, 1, 1), ReLU, dense 2 -> 2;
+    every variant the arguments allow has the same layer dims."""
+    dense = np.eye(2)
+    dense[0, 1] = weight
+    layers = [MaxPool(window, 2, (1, 6, 6)),
+              Conv(np.ones((2, 1, 3, 3)), np.zeros(2), stride, padding, (1, 3, 3))]
+    layers += [Relu()] if relu else []
+    layers.append(Dense(dense, np.zeros(2)))
+    return Network(layers, 36, 2, domain)
+
+
+def test_networks_equal_treats_signed_zeros_as_equal():
+    assert networks_equal(_pool_conv_net(weight=-0.0), _pool_conv_net())
+
+
+@pytest.mark.parametrize("change", [
+    {"weight": np.nextafter(0.0, 1.0)}, {"stride": 2}, {"padding": 1}, {"window": (2, 1)},
+    {"domain": (0.0, 1.0)}, {"relu": False}])
+def test_networks_equal_detects_each_difference(change):
+    assert not networks_equal(_pool_conv_net(), _pool_conv_net(**change))
+    assert not networks_equal(_pool_conv_net(**change), _pool_conv_net())
 
 
 def test_load_model_ragged_row_cites_layer(tmp_path):
