@@ -3,9 +3,14 @@ iterative working-set loop that adds violated constraints lazily.
 
 The solver is a dense two-phase primal simplex with Bland's rule (smallest
 index enters; min-ratio ties broken by smallest basic index), so runs are
-deterministic and cycling-free. Free variables are handled by the standard
-positive/negative split; inequality rows get slack or surplus columns and
-artificials only where a starting basis is not available.
+deterministic and cycling-free.
+
+The tableau is built from arrays: the constraints and the bound rows are
+stacked into a row matrix, an rhs vector and a sense vector (+1 '<=', -1 '>=',
+0 '='), and rows with rhs < 0 are negated, which flips their sense. Columns
+are the free split z = y[:n] - y[n:2n], one slack per inequality (coefficient
+= sense), then one artificial per '>=' or '=' row, numbered in row order by a
+cumulative sum. A row starts basic on its artificial, else on its slack.
 
 Tolerances: pivot 1e-9, feasibility 1e-7, lazy violation 1e-7.
 """
@@ -21,6 +26,8 @@ import numpy as np
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 _RATIO_TIE = 1e-9
+
+_SLACK_SIGN = {"<=": 1, ">=": -1, "=": 0}
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -153,63 +160,47 @@ def simplex_solve(problem: LPProblem, max_pivots: int | None = None) -> LPSoluti
     """Solve the LP to an optimal basic feasible solution, deterministically."""
     n = problem.num_vars
     cons = list(problem.constraints) + _bounds_rows(problem)
-    for c in cons:
-        if c.a.shape != (n,):
-            raise ValueError(f"constraint length {c.a.shape} != num_vars {n}")
-        if not (np.all(np.isfinite(c.a)) and math.isfinite(c.rhs)):
-            raise ValueError("non-finite constraint")
+    wrong = [c.a.shape for c in cons if c.a.shape != (n,)]
+    if wrong:
+        raise ValueError(f"constraint length {wrong[0]} != num_vars {n}")
+    m = len(cons)
+    a = np.array([c.a for c in cons], dtype=float).reshape(m, n)
+    rhs = np.array([c.rhs for c in cons], dtype=float)
+    sense = np.array([_SLACK_SIGN[c.sense] for c in cons], dtype=int)
+    if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
+        raise ValueError("non-finite constraint")
     if not np.all(np.isfinite(problem.objective)):
         raise ValueError("non-finite objective")
 
-    m = len(cons)
-    # free variables: z_j = y_j - y_{n+j}
-    rows = []
-    for c in cons:
-        a2 = np.concatenate([c.a, -c.a])
-        rhs, sense = c.rhs, c.sense
-        if rhs < 0:
-            a2, rhs = -a2, -rhs
-            sense = {">=": "<=", "<=": ">=", "=": "="}[sense]
-        rows.append((a2, sense, rhs))
-
-    n_slack = sum(1 for _, sense, _ in rows if sense != "=")
-    n_art = sum(1 for _, sense, _ in rows if sense != "<=")
-    slack_start = 2 * n
-    art_start = slack_start + n_slack
-    ncols = art_start + n_art
+    # Rows with rhs < 0 are negated, which swaps '>=' and '<='.
+    flip = np.where(rhs < 0, -1, 1)
+    a, rhs, sense = a * flip[:, None], rhs * flip, sense * flip
+    has_slack, has_art = sense != 0, sense != 1
+    slack_col = 2 * n + np.cumsum(has_slack) - 1
+    art_start = 2 * n + np.count_nonzero(has_slack)
+    art_col = art_start + np.cumsum(has_art) - 1
+    ncols = art_start + np.count_nonzero(has_art)
 
     T = np.zeros((m + 1, ncols + 1))
-    basis = np.zeros(m, dtype=int)
-    si, ai = slack_start, art_start
-    for i, (a2, sense, rhs) in enumerate(rows):
-        T[i, : 2 * n] = a2
-        T[i, -1] = rhs
-        if sense == "<=":
-            T[i, si] = 1.0
-            basis[i] = si
-            si += 1
-        elif sense == ">=":
-            T[i, si] = -1.0
-            si += 1
-            T[i, ai] = 1.0
-            basis[i] = ai
-            ai += 1
-        else:
-            T[i, ai] = 1.0
-            basis[i] = ai
-            ai += 1
+    T[:m, :n] = a
+    T[:m, n: 2 * n] = -a
+    T[:m, -1] = rhs
+    rows = np.flatnonzero(has_slack)
+    T[rows, slack_col[rows]] = sense[rows]
+    rows = np.flatnonzero(has_art)
+    T[rows, art_col[rows]] = 1.0
+    basis = np.where(has_art, art_col, slack_col)
 
     if max_pivots is None:
         max_pivots = 10_000 + 50 * (m + ncols)
     pivots = 0
 
-    if n_art:
+    if ncols > art_start:
         # Phase 1: minimize the sum of artificials starting from the
         # slack/artificial basis.
         T[-1, art_start:ncols] = 1.0
-        for i in range(m):
-            if basis[i] >= art_start:
-                T[-1] -= T[i]
+        for i in np.flatnonzero(has_art):
+            T[-1] -= T[i]
         status, pivots = _iterate(T, basis, max_pivots, pivots)
         if status == ITERATION_LIMIT:
             return LPSolution(ITERATION_LIMIT, None, float("nan"), pivots)
@@ -313,28 +304,20 @@ def lazy_solve(core: LPProblem, A, b) -> tuple[LPSolution, LazyStats]:
 def linf_box_problem(seed, domain: tuple[float, float] | None = None) -> LPProblem:
     """Minimize epsilon = ||x - seed||_inf over variables z = (x_1..x_n, eps).
 
-    Encoded with the standard 2n box rows x_i - seed_i <= eps and
-    seed_i - x_i <= eps plus eps >= 0. Variables are free unless a domain
-    interval is supplied, in which case each x_i is bounded to it.
+    Encoded as eps >= 0 followed by the 2n box rows eps - x_i >= -seed_i and
+    eps + x_i >= seed_i, coordinate by coordinate. Variables are free unless a
+    domain interval is supplied, in which case each x_i is bounded to it.
     """
     seed = np.asarray(seed, dtype=float)
     n = seed.shape[0]
-    nv = n + 1
-    objective = np.zeros(nv)
+    objective = np.zeros(n + 1)
     objective[n] = 1.0
-    problem = LPProblem(nv, objective)
-    e = np.zeros(nv)
-    e[n] = 1.0
-    problem.add(e, ">=", 0.0)
-    for i in range(n):
-        row = np.zeros(nv)
-        row[n] = 1.0
-        row[i] = -1.0
-        problem.add(row, ">=", -seed[i])
-        row = row.copy()
-        row[i] = 1.0
-        problem.add(row, ">=", seed[i])
-    if domain is not None:
-        lo, hi = domain
-        problem.bounds = [(float(lo), float(hi))] * n + [None]
-    return problem
+    a = np.zeros((2 * n + 1, n + 1))
+    a[:, n] = 1.0
+    i = np.arange(n)
+    a[2 * i + 1, i] = -1.0
+    a[2 * i + 2, i] = 1.0
+    rhs = np.concatenate([[0.0], np.stack([-seed, seed], axis=1).ravel()])
+    bounds = None if domain is None else [(float(domain[0]), float(domain[1]))] * n + [None]
+    return LPProblem(n + 1, objective,
+                     [LinearConstraint(row, ">=", r) for row, r in zip(a, rhs)], bounds)

@@ -420,7 +420,7 @@ def _open_maybe_gzip(path):
     return open(path, "rb")
 
 
-def _load_idx(path, labels_path, num_labels, input_domain):
+def _load_idx(path, labels_path, input_dim, num_labels, input_domain):
     if labels_path is None:
         raise DatasetError("idx format needs labels_path for the label file")
     with _open_maybe_gzip(path) as fh:
@@ -430,6 +430,9 @@ def _load_idx(path, labels_path, num_labels, input_domain):
         magic, count, rows, cols = struct.unpack(">IIII", header)
         if magic != IDX_IMAGE_MAGIC:
             raise DatasetError(f"{path}: bad image magic 0x{magic:08x}")
+        if input_dim is not None and rows * cols != input_dim:
+            raise DatasetError(f"{path}: {rows}x{cols} = {rows * cols} pixels per image,"
+                               f" expected input_dim {input_dim}")
         raw = fh.read(count * rows * cols)
     if len(raw) != count * rows * cols:
         raise DatasetError(f"{path}: truncated image data")
@@ -461,10 +464,11 @@ def load_dataset(path, fmt="csv", *, labels_path=None, input_dim=None,
     """Load labeled points from a CSV (label, features...) or an IDX image/label pair.
 
     IDX pixel data (0-255) is rescaled linearly onto input_domain when one is
-    declared; otherwise raw byte values are kept.
+    declared; otherwise raw byte values are kept. An IDX image whose pixel
+    count is not input_dim raises DatasetError.
     """
     if fmt == "csv":
         return _load_csv(path, input_dim, num_labels, input_domain)
     if fmt == "idx":
-        return _load_idx(path, labels_path, num_labels, input_domain)
+        return _load_idx(path, labels_path, input_dim, num_labels, input_domain)
     raise DatasetError(f"unknown dataset format {fmt!r}")

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import build_disjunctive, output_constraints
-from .lp import OPTIMAL, LPProblem, linf_box_problem, scaled_constraints, simplex_solve
+from .lp import (INFEASIBLE, OPTIMAL, LPProblem, SimplexError, linf_box_problem,
+                 scaled_constraints, simplex_solve)
 from .model import Network, classify, forward_batch
 
 _GRID_CHUNK = 1 << 16
@@ -30,15 +31,24 @@ class ExactResult:
     patterns_total: int
 
 
+def _solved(solution, what):
+    """Whether the solve reached optimal (False: proved infeasible); any other
+    stop proves nothing and raises SimplexError."""
+    if solution.status not in (OPTIMAL, INFEASIBLE):
+        raise SimplexError(f"{solution.status} on {what}")
+    return solution.status == OPTIMAL
+
+
 def _signs_feasible(region) -> bool:
     n = region.logits.num_inputs
     problem = LPProblem(n, np.zeros(n),
                         scaled_constraints(region.constraints, region.bias, n))
-    return simplex_solve(problem).status == OPTIMAL
+    return _solved(simplex_solve(problem), "pattern feasibility")
 
 
 def _pattern_targets(region, targets, base_problem):
-    """Min-epsilon solves of one pattern for each target; yields optimal ones."""
+    """Min-epsilon solves of one pattern for each target; yields optimal ones
+    and skips infeasible ones."""
     nv = base_problem.num_vars
     rows = (list(base_problem.constraints)
             + scaled_constraints(region.constraints, region.bias, nv))
@@ -47,7 +57,7 @@ def _pattern_targets(region, targets, base_problem):
                             rows + scaled_constraints(*output_constraints(region, target), nv),
                             base_problem.bounds)
         solution = simplex_solve(problem)
-        if solution.status == OPTIMAL:
+        if _solved(solution, f"target {target}"):
             yield (target, max(solution.objective_value, 0.0),
                    solution.z[: region.logits.num_inputs])
 
@@ -127,7 +137,7 @@ def grid_robustness(net: Network, seed, radius: float, resolution: float) -> flo
     return best
 
 
-def satisfiable_labels(net: Network, X, tol: float = 0.0) -> np.ndarray:
+def satisfiable_labels(net: Network, X) -> np.ndarray:
     """Boolean table (k, L): whether some activation pattern's constraints hold
     at each point with each output label winning (non-strictly)."""
     X = np.asarray(X, dtype=float)
@@ -137,13 +147,13 @@ def satisfiable_labels(net: Network, X, tol: float = 0.0) -> np.ndarray:
     encoding = build_disjunctive(net)
     for pattern in encoding.patterns():
         region = encoding.instantiate(pattern)
-        signs_ok = (X @ region.constraints.T + region.bias >= -tol).all(axis=1)
+        signs_ok = (X @ region.constraints.T + region.bias >= 0.0).all(axis=1)
         logits = X @ region.logits.coeffs.T + region.logits.bias
-        wins = logits >= logits.max(axis=1, keepdims=True) - tol
+        wins = logits >= logits.max(axis=1, keepdims=True)
         table |= signs_ok[:, None] & wins
     return table
 
 
-def satisfiable_at(net: Network, x, label: int, tol: float = 0.0) -> bool:
+def satisfiable_at(net: Network, x, label: int) -> bool:
     """Whether the disjunctive encoding admits label at the fixed input x."""
-    return bool(satisfiable_labels(net, np.asarray(x, dtype=float)[None, :], tol)[0, label])
+    return bool(satisfiable_labels(net, np.asarray(x, dtype=float)[None, :])[0, label])

@@ -6,7 +6,8 @@ import pytest
 
 from relucert import (Dense, Network, SimplexError, classify, compute_stats, load_model,
                       save_model)
-from relucert import cli
+from relucert import cli, oracle
+from relucert.lp import ITERATION_LIMIT, LPSolution
 from relucert.cli import main, read_rhos
 from helpers import blobs, random_dense_relu_net
 
@@ -253,6 +254,14 @@ def test_exact_command(tmp_path, trap_model, capsys):
     obj = json.loads(capsys.readouterr().out.splitlines()[0])
     assert obj["rho"] == pytest.approx(4 * math.log(9 / 8), abs=1e-6)
     assert obj["patterns_total"] == 1
+
+
+def test_exact_command_exits_3_on_solver_stop(tmp_path, toy_setup, monkeypatch, capsys):
+    _, model, data = toy_setup
+    monkeypatch.setattr(oracle, "simplex_solve",
+                        lambda problem: LPSolution(ITERATION_LIMIT, None, math.nan, 0))
+    assert main(["exact", "--model", str(model), "--data", str(data)]) == 3
+    assert "solver error: iteration_limit" in capsys.readouterr().err
 
 
 def test_finetune_writes_model_and_manifest(tmp_path):

@@ -114,6 +114,142 @@ def test_determinism_bit_for_bit():
     assert a.pivots == b.pivots
 
 
+def _per_row_first_tableau(problem):
+    """The per-row build of the tableau, kept as a bit-for-bit reference for
+    simplex_solve's array build: (T, basis) as handed to the first _iterate
+    call, with the phase-1 objective row, or the phase-2 one when no row
+    needs an artificial."""
+    n = problem.num_vars
+    cons = list(problem.constraints) + lp._bounds_rows(problem)
+    m = len(cons)
+    rows = []
+    for c in cons:
+        a2 = np.concatenate([c.a, -c.a])
+        rhs, sense = c.rhs, c.sense
+        if rhs < 0:
+            a2, rhs = -a2, -rhs
+            sense = {">=": "<=", "<=": ">=", "=": "="}[sense]
+        rows.append((a2, sense, rhs))
+    n_slack = sum(1 for _, sense, _ in rows if sense != "=")
+    n_art = sum(1 for _, sense, _ in rows if sense != "<=")
+    slack_start = 2 * n
+    art_start = slack_start + n_slack
+    ncols = art_start + n_art
+    T = np.zeros((m + 1, ncols + 1))
+    basis = np.zeros(m, dtype=int)
+    si, ai = slack_start, art_start
+    for i, (a2, sense, rhs) in enumerate(rows):
+        T[i, : 2 * n] = a2
+        T[i, -1] = rhs
+        if sense == "<=":
+            T[i, si] = 1.0
+            basis[i] = si
+            si += 1
+        elif sense == ">=":
+            T[i, si] = -1.0
+            si += 1
+            T[i, ai] = 1.0
+            basis[i] = ai
+            ai += 1
+        else:
+            T[i, ai] = 1.0
+            basis[i] = ai
+            ai += 1
+    if n_art:
+        T[-1, art_start:ncols] = 1.0
+        for i in range(m):
+            if basis[i] >= art_start:
+                T[-1] -= T[i]
+    else:
+        c_ext = np.zeros(ncols)
+        c_ext[:n] = problem.objective
+        c_ext[n: 2 * n] = -problem.objective
+        T[-1, :-1] = c_ext
+        T[-1, -1] = 0.0
+        for i in range(m):
+            cb = T[-1, basis[i]]
+            if cb != 0.0:
+                T[-1] -= cb * T[i]
+    return T, basis
+
+
+class _FirstIterate(Exception):
+    pass
+
+
+def _first_tableau(problem, monkeypatch):
+    """(T, basis) at simplex_solve's first _iterate call."""
+    def capture(T, basis, max_pivots, pivots):
+        raise _FirstIterate(T.copy(), basis.copy())
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_iterate", capture)
+        with pytest.raises(_FirstIterate) as caught:
+            simplex_solve(problem)
+    return caught.value.args
+
+
+def _random_generic_lp(rng):
+    """Any sense, rhs of either sign (signed zeros too), zero coefficients,
+    and bounds with and without None or infinite ends."""
+    n = int(rng.integers(1, 6))
+    constraints = []
+    for _ in range(int(rng.integers(0, 9))):
+        a = rng.normal(size=n) * (rng.random(n) < 0.7)
+        a[rng.random(n) < 0.1] = -0.0
+        rhs = rng.choice([rng.normal(), 0.0, -0.0])
+        constraints.append(lp.LinearConstraint(a, str(rng.choice([">=", "<=", "="])), rhs))
+    ends = [None, -np.inf, np.inf, -1.0, 0.0, 2.5]
+    bounds = None
+    if rng.random() < 0.6:
+        bounds = [None if rng.random() < 0.2 else
+                  (ends[rng.integers(0, 6)], ends[rng.integers(0, 6)]) for _ in range(n)]
+    return LPProblem(n, rng.normal(size=n) * (rng.random(n) < 0.8), constraints, bounds)
+
+
+def test_array_tableau_matches_per_row_build(monkeypatch):
+    rng = np.random.default_rng(2024)
+    senses = set()
+    for _ in range(300):
+        problem = _random_generic_lp(rng)
+        senses.update((c.sense, c.rhs < 0) for c in problem.constraints)
+        T, basis = _first_tableau(problem, monkeypatch)
+        T_ref, basis_ref = _per_row_first_tableau(problem)
+        assert T.shape == T_ref.shape and T.tobytes() == T_ref.tobytes()
+        assert basis.dtype == basis_ref.dtype and np.array_equal(basis, basis_ref)
+    assert len(senses) == 6
+
+
+@pytest.mark.parametrize("constraint, objective, message", [
+    (lp.LinearConstraint(np.ones(3), ">=", 0.0), [1.0, 1.0], "constraint length"),
+    (lp.LinearConstraint([1.0, np.nan], "<=", 0.0), [1.0, 1.0], "non-finite constraint"),
+    (lp.LinearConstraint([np.inf, 1.0], "=", 0.0), [1.0, 1.0], "non-finite constraint"),
+    (lp.LinearConstraint([1.0, 1.0], ">=", np.nan), [1.0, 1.0], "non-finite constraint"),
+    (lp.LinearConstraint([1.0, 1.0], ">=", -np.inf), [1.0, 1.0], "non-finite constraint"),
+    (lp.LinearConstraint([1.0, 1.0], ">=", 0.0), [np.nan, 1.0], "non-finite objective"),
+])
+def test_simplex_rejects_malformed_problems(constraint, objective, message):
+    ok = lp.LinearConstraint([0.0, 1.0], ">=", 0.0)
+    with pytest.raises(ValueError, match=message):
+        simplex_solve(LPProblem(2, np.array(objective), [ok, constraint]))
+
+
+def test_linf_box_problem_row_order_and_values():
+    seed = np.array([0.5, -2.0, 0.0])
+    a = np.array([[0.0, 0.0, 0.0, 1.0],
+                  [-1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0],
+                  [0.0, -1.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0],
+                  [0.0, 0.0, -1.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
+    rhs = np.array([0.0, -0.5, 0.5, 2.0, -2.0, -0.0, 0.0])
+    for domain, bounds in ((None, None), ((0, 1), [(0.0, 1.0)] * 3 + [None])):
+        p = linf_box_problem(seed, domain)
+        assert p.num_vars == 4 and p.objective.tobytes() == np.eye(4)[3].tobytes()
+        assert [c.sense for c in p.constraints] == [">="] * 7
+        assert np.array([c.a for c in p.constraints]).tobytes() == a.tobytes()
+        assert np.array([c.rhs for c in p.constraints]).tobytes() == rhs.tobytes()
+        assert p.bounds == bounds
+
+
 def _random_certification_instance(rng, dims=(2, 6, 3)):
     net = random_dense_relu_net(rng, list(dims))
     seed = rng.normal(size=dims[0])

@@ -249,6 +249,15 @@ def test_load_idx_scales_to_domain(tmp_path):
     assert points[0].x == pytest.approx([0.0, 1.0, 0.2, 0.4])
 
 
+def test_load_idx_checks_pixel_count_against_input_dim(tmp_path):
+    images = np.zeros((3, 2, 2), dtype=np.uint8)
+    labels = np.zeros(3, dtype=np.uint8)
+    img_path, lbl_path = _write_idx_pair(tmp_path, images, labels)
+    assert len(load_dataset(img_path, "idx", labels_path=lbl_path, input_dim=4)) == 3
+    with pytest.raises(DatasetError, match=r"images\.idx: 2x2 = 4 pixels .* input_dim 3"):
+        load_dataset(img_path, "idx", labels_path=lbl_path, input_dim=3)
+
+
 def test_load_idx_bad_magic(tmp_path):
     img_path = tmp_path / "images.idx"
     img_path.write_bytes(struct.pack(">IIII", 0x123, 1, 2, 2) + b"\0" * 4)

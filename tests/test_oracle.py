@@ -7,6 +7,8 @@ from relucert import (Dense, Network, Relu, build_disjunctive, classify,
                       exact_robustness, extract_region, grid_robustness,
                       pattern_robustness, pointwise_robustness, satisfiable_at,
                       satisfiable_labels)
+from relucert import oracle
+from relucert.lp import ITERATION_LIMIT, LPSolution, SimplexError
 from helpers import random_conv_pool_net, random_dense_relu_net
 
 
@@ -143,3 +145,35 @@ def test_exact_sandwich_on_small_pool_net():
         assert exact.patterns_total == 2 ** 4 * 4
         estimate = pointwise_robustness(net, seed).rho_hat
         assert estimate >= exact.rho - 1e-6
+
+
+def _stop_solves(monkeypatch, min_eps_only=False):
+    """Make oracle's simplex stop at the iteration limit: on every LP, or only
+    on the min-epsilon LPs (nonzero objective), leaving feasibility checks."""
+    real = oracle.simplex_solve
+
+    def stopped(problem, *args, **kwargs):
+        if min_eps_only and not problem.objective.any():
+            return real(problem, *args, **kwargs)
+        return LPSolution(ITERATION_LIMIT, None, math.nan, 0)
+
+    monkeypatch.setattr(oracle, "simplex_solve", stopped)
+
+
+@pytest.mark.parametrize("min_eps_only, stage", [(False, "pattern feasibility"),
+                                                 (True, "target")])
+def test_exact_raises_on_solver_stop(monkeypatch, min_eps_only, stage):
+    """An iteration-limit stop proves nothing: it must not drop a pattern or
+    a target, which could make the exact rho too large."""
+    net = random_dense_relu_net(np.random.default_rng(4), [2, 3, 2])
+    _stop_solves(monkeypatch, min_eps_only)
+    with pytest.raises(SimplexError, match=f"iteration_limit on {stage}"):
+        exact_robustness(net, np.zeros(2))
+
+
+def test_pattern_robustness_raises_on_solver_stop(monkeypatch):
+    net = random_dense_relu_net(np.random.default_rng(4), [2, 3, 2])
+    pattern = next(build_disjunctive(net).patterns())
+    _stop_solves(monkeypatch)
+    with pytest.raises(SimplexError, match="iteration_limit on target"):
+        pattern_robustness(net, np.zeros(2), pattern)
