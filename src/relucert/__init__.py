@@ -2,10 +2,10 @@
 
 Encodes the search for a minimal L-infinity adversarial perturbation as a
 linear program over the affine piece containing the seed input, solves it
-with a lazy working-set simplex, and aggregates the per-point results into
-adversarial frequency / severity statistics. Includes an exact enumeration
-oracle for tiny networks, a trainer, the signed-gradient baseline attack,
-and an adversarial fine-tuning loop.
+with a dual simplex that adds the piece's rows as lazy cuts, and aggregates
+the per-point results into adversarial frequency / severity statistics.
+Includes an exact enumeration oracle for tiny networks, a trainer, the
+signed-gradient baseline attack, and an adversarial fine-tuning loop.
 """
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -40,6 +41,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _nonnegative(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_data_args(p):
     p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--data", required=True, help="dataset file")
@@ -56,10 +77,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("certify", help="per-point robustness records (JSON lines)")
     _add_data_args(p)
     p.add_argument("--target", choices=("second", "all"), default="second")
-    p.add_argument("--margin", type=float, default=0.0)
+    p.add_argument("--margin", type=_nonnegative, default=0.0)
     p.add_argument("--domain-bounds", action="store_true",
                    help="constrain the search to the model's input domain")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_certify)
 
@@ -75,7 +96,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("attack", help="emit adversarial inputs as CSV")
     _add_data_args(p)
-    p.add_argument("--alpha", type=float, default=3.0, help="output margin")
+    p.add_argument("--alpha", type=_nonnegative, default=3.0, help="output margin")
     p.add_argument("--round-integers", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_attack)
@@ -89,7 +110,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("finetune", help="adversarially fine-tune a model")
     _add_data_args(p)
     p.add_argument("--rounds", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=3.0)
+    p.add_argument("--alpha", type=_nonnegative, default=3.0)
     p.add_argument("--attack", choices=("lp", "fgsm"), default="lp")
     p.add_argument("--fgsm-eps", type=float)
     p.add_argument("--round-integers", action="store_true")

@@ -1,18 +1,38 @@
-"""Linear programs: representation, a self-contained simplex solver, and the
-iterative working-set loop that adds violated constraints lazily.
+"""Linear programs: the min-epsilon solver that certification uses, and a
+generic two-phase simplex kept as the independent reference.
 
-The solver is a dense two-phase primal simplex with Bland's rule (smallest
-index enters; min-ratio ties broken by smallest basic index), so runs are
-deterministic and cycling-free.
+lazy_solve minimizes eps = ||x - seed||_inf over output rows, an optional
+input domain and region rows, with a dual simplex on the shifted variables
+z = (u, eps) >= 0, x = seed + u - eps * 1. Every row is a . z <= r:
 
-The tableau is built from arrays: the constraints and the bound rows are
-stacked into a row matrix, an rhs vector and a sense vector (+1 '<=', -1 '>=',
-0 '='), and rows with rhs < 0 are negated, which flips their sense. Columns
-are the free split z = y[:n] - y[n:2n], one slack per inequality (coefficient
-= sense), then one artificial per '>=' or '=' row, numbered in row order by a
-cumulative sum. A row starts basic on its artificial, else on its slack.
+- box rows u_i - 2 eps <= 0 (u_i >= 0 is the other side of |x_i - seed_i| <= eps);
+- domain rows u_i - eps <= hi - seed_i and -u_i + eps <= seed_i - lo;
+- output and region rows A x + b >= 0, scaled to unit max coefficient, as
+  -A u + (A 1) eps <= A seed + b.
 
-Tolerances: pivot 1e-9, feasibility 1e-7, lazy violation 1e-7.
+At the seed every rhs but the output rows' (and a domain row's, for a seed
+outside the domain) is >= 0. The costs are 0 on u and 1 on eps, so the
+all-slack basis is dual feasible and no phase 1 is needed. The leaving row is
+the most infeasible one; the entering column has the min ratio of reduced
+cost to |pivot|, ties going to the largest |pivot|. After _STALL_PIVOTS
+pivots in a row that do not raise the objective, Bland's dual rule (smallest
+basic index leaves, smallest column index enters) takes over until one does,
+so the solve cannot cycle. Region rows the optimum violates are appended as
+cuts, each on a new slack and reduced by the current basis, and the dual
+simplex resumes from that basis.
+
+simplex_solve is a dense two-phase primal simplex with Bland's rule
+(smallest index enters; min-ratio ties broken by smallest basic index), so
+runs are deterministic and cycling-free. Its tableau is built from arrays:
+the constraints and the bound rows are stacked into a row matrix, an rhs
+vector and a sense vector (+1 '<=', -1 '>=', 0 '='), and rows with rhs < 0
+are negated, which flips their sense. Columns are the free split
+z = y[:n] - y[n:2n], one slack per inequality (coefficient = sense), then one
+artificial per '>=' or '=' row, numbered in row order by a cumulative sum. A
+row starts basic on its artificial, else on its slack.
+
+Tolerances: pivot and primal feasibility 1e-9, phase-1 feasibility 1e-7, lazy
+violation 1e-7.
 """
 
 from __future__ import annotations
@@ -26,6 +46,7 @@ import numpy as np
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 _RATIO_TIE = 1e-9
+_STALL_PIVOTS = 50  # non-improving dual pivots before Bland's dual rule
 
 _SLACK_SIGN = {"<=": 1, ">=": -1, "=": 0}
 
@@ -86,7 +107,9 @@ class LPSolution:
 
 @dataclass
 class LazyStats:
-    """Diagnostics of one working-set solve."""
+    """Diagnostics of one lazy_solve: dual simplex runs (one plus one per
+    batch of cuts), region rows added as cuts, rows of the final tableau, and
+    pivots over all runs."""
 
     outer_iterations: int = 0
     constraints_added: int = 0
@@ -252,53 +275,142 @@ def simplex_solve(problem: LPProblem, max_pivots: int | None = None) -> LPSoluti
     return LPSolution(OPTIMAL, z, float(problem.objective @ z), pivots)
 
 
-def scaled_constraints(A, b, num_vars: int) -> list[LinearConstraint]:
-    """Rows A x + b >= 0 over the leading x-variables, as '>=' constraints in
-    the LP variable space.
+def _unit_rows(A, b):
+    """Rows A x + b >= 0 rescaled to unit max coefficient, as (A', b').
 
-    Rows are rescaled to unit max coefficient, which keeps deep-network
-    constraints well conditioned without changing the feasible set.
+    The scaling keeps deep-network constraints well conditioned without
+    changing the feasible set; an all-zero row keeps scale 1.
     """
     scale = np.abs(A).max(axis=1, initial=0.0)
     scale[scale <= 0.0] = 1.0
+    return A / scale[:, None], b / scale
+
+
+def scaled_constraints(A, b, num_vars: int) -> list[LinearConstraint]:
+    """Rows A x + b >= 0 over the leading x-variables, unit-scaled by
+    _unit_rows, as '>=' constraints in the LP variable space."""
+    a_unit, b_unit = _unit_rows(A, b)
     a = np.zeros((A.shape[0], num_vars))
-    a[:, : A.shape[1]] = A
-    a /= scale[:, None]
-    rhs = (-b) / scale
-    return [LinearConstraint(row, ">=", r) for row, r in zip(a, rhs)]
+    a[:, : A.shape[1]] = a_unit
+    return [LinearConstraint(row, ">=", r) for row, r in zip(a, -b_unit)]
 
 
-def lazy_solve(core: LPProblem, A, b) -> tuple[LPSolution, LazyStats]:
-    """Solve core with the pool rows A x + b >= 0 added only as the incumbent
-    violates them.
+def _shifted_rows(seed, A, b):
+    """Rows A x + b >= 0, unit-scaled, as a . z <= r over z = (u, eps) with
+    x = seed + u - eps: -A' u + (A' 1) eps <= A' seed + b'."""
+    a, c = _unit_rows(A, b)
+    return np.hstack([-a, a.sum(axis=1, keepdims=True)]), a @ seed + c
 
-    Every outer iteration solves the working LP, then appends all pool rows
-    violated by more than FEAS_TOL at its x part. Because the working set only
-    relaxes the full program, the final incumbent (feasible for the pool) is
-    optimal for core + pool. Infeasibility of a working subset implies
-    infeasibility of the full system.
+
+def _append_rows(T, basis, rows, rhs):
+    """The tableau with rows . z <= rhs appended, each on a new basic slack
+    column and reduced by the current basis; returns (T, basis)."""
+    m, k = T.shape[0] - 1, rows.shape[0]
+    width = T.shape[1] - 1  # columns before rhs
+    T = np.insert(T, np.full(k, m), 0.0, axis=0)  # k rows before the objective row
+    T = np.insert(T, np.full(k, width), 0.0, axis=1)  # k slack columns before rhs
+    block = T[m:m + k]
+    block[:, : rows.shape[1]] = rows
+    block[np.arange(k), width + np.arange(k)] = 1.0
+    block[:, -1] = rhs
+    block -= block[:, basis] @ T[:m]
+    return T, np.concatenate([basis, width + np.arange(k)])
+
+
+def _dual_iterate(T, basis, max_pivots, pivots):
+    """Dual simplex on a dual-feasible tableau of '<=' rows until primal
+    feasible (optimal), a row proves infeasibility, or the pivot limit."""
+    m = T.shape[0] - 1
+    stall = 0
+    while True:
+        rhs = T[:m, -1]
+        rows = np.flatnonzero(rhs < -PIVOT_TOL)
+        if rows.size == 0:
+            return OPTIMAL, pivots
+        if pivots >= max_pivots:
+            return ITERATION_LIMIT, pivots
+        bland = stall >= _STALL_PIVOTS
+        if bland:  # smallest basic index leaves
+            leave = int(rows[np.argmin(basis[rows])])
+        else:  # most infeasible row leaves
+            leave = int(rows[np.argmin(rhs[rows])])
+        line = T[leave, :-1]
+        cols = np.flatnonzero(line < -PIVOT_TOL)
+        if cols.size == 0:
+            # z >= 0 with every coefficient >= 0 cannot reach rhs < 0
+            return INFEASIBLE, pivots
+        ratios = np.maximum(T[-1, cols], 0.0) / -line[cols]
+        best = ratios.min()
+        tie = cols[ratios <= best + _RATIO_TIE * (1.0 + best)]
+        # Bland: smallest entering index; else the largest |pivot|
+        col = int(tie[0]) if bland else int(tie[np.argmin(line[tie])])
+        before = T[-1, -1]
+        _pivot(T, basis, leave, col)
+        pivots += 1
+        # -T[-1, -1] is the objective, which a dual pivot never lowers
+        stall = 0 if before - T[-1, -1] > _RATIO_TIE * (1.0 + abs(before)) else stall + 1
+
+
+def lazy_solve(seed, A, b, G, h, domain=None,
+               max_pivots: int | None = None) -> tuple[LPSolution, LazyStats]:
+    """Minimize eps = ||x - seed||_inf subject to the output rows G x + h >= 0,
+    the optional domain lo <= x <= hi, and the pool rows A x + b >= 0, the pool
+    rows added only as the incumbent violates them.
+
+    Returns z = (x, eps) with objective_value eps. The dual simplex runs on the
+    shifted form (module docstring) from the all-slack basis; after each
+    optimum the pool rows violated at x by more than FEAS_TOL are appended as
+    cuts and the dual simplex resumes from the current basis. The working set
+    only relaxes the full program, so the final incumbent (feasible for the
+    pool) is optimal for the whole of it, and infeasibility of a working set
+    implies infeasibility of the whole. max_pivots bounds the pivots of the
+    whole solve; by default it is simplex_solve's formula for the full LP.
     """
     start = time.perf_counter()
-    work = LPProblem(core.num_vars, core.objective.copy(),
-                     list(core.constraints), core.bounds)
+    seed = np.asarray(seed, dtype=float)
+    n = seed.shape[0]
+    eye = np.eye(n)
+    blocks = [(np.hstack([eye, np.full((n, 1), -2.0)]), np.zeros(n))]
+    if domain is not None:
+        lo, hi = float(domain[0]), float(domain[1])
+        ones = np.ones((n, 1))
+        blocks += [(np.hstack([eye, -ones]), hi - seed), (np.hstack([-eye, ones]), seed - lo)]
+    blocks.append(_shifted_rows(seed, G, h))
+    rows = np.vstack([r for r, _ in blocks])
+    rhs = np.concatenate([r for _, r in blocks])
+    if max_pivots is None:
+        m = len(rows) + len(A)
+        max_pivots = 10_000 + 50 * (m + n + 1 + m)
+
+    T = np.zeros((1, n + 2))
+    T[0, n] = 1.0  # costs: 0 on u, 1 on eps
+    T, basis = _append_rows(T, np.zeros(0, dtype=int), rows, rhs)
     remaining = np.arange(len(A))
     stats = LazyStats()
+    pivots = 0
     while True:
-        sol = simplex_solve(work)
+        status, pivots = _dual_iterate(T, basis, max_pivots, pivots)
         stats.outer_iterations += 1
-        stats.total_pivots += sol.pivots
-        if sol.status != OPTIMAL:
+        if status != OPTIMAL:
             break
-        hit = A[remaining] @ sol.z[: A.shape[1]] + b[remaining] < -FEAS_TOL
+        z = np.zeros(T.shape[1] - 1)
+        z[basis] = np.maximum(T[:-1, -1], 0.0)
+        eps = z[n]
+        x = seed + z[:n] - eps
+        hit = A[remaining] @ x + b[remaining] < -FEAS_TOL
         if not hit.any():
             break
         violated = remaining[hit]
-        work.constraints += scaled_constraints(A[violated], b[violated], core.num_vars)
+        T, basis = _append_rows(T, basis, *_shifted_rows(seed, A[violated], b[violated]))
         remaining = remaining[~hit]
         stats.constraints_added += len(violated)
-    stats.final_active_count = len(work.constraints)
+    stats.total_pivots = pivots
+    stats.final_active_count = T.shape[0] - 1
     stats.wall_time = time.perf_counter() - start
-    return sol, stats
+    if status == OPTIMAL:
+        return LPSolution(OPTIMAL, np.append(x, eps), float(eps), pivots), stats
+    value = float("inf") if status == INFEASIBLE else float("nan")
+    return LPSolution(status, None, value, pivots), stats
 
 
 def linf_box_problem(seed, domain: tuple[float, float] | None = None) -> LPProblem:

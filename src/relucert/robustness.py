@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import extract_region, output_constraints
-from .lp import (INFEASIBLE, OPTIMAL, LazyStats, SimplexError, lazy_solve,
-                 linf_box_problem, scaled_constraints)
+from .lp import INFEASIBLE, OPTIMAL, LazyStats, SimplexError, lazy_solve
 from .model import Network, classify, second_label
 
 INFINITE_RHO = math.inf
@@ -25,7 +24,10 @@ INFINITE_RHO = math.inf
 @dataclass
 class RobustnessRecord:
     """Per-seed certification result; rho_hat is +inf when the restricted
-    program admits no adversarial example for any requested target."""
+    program admits no adversarial example for any requested target. flips is
+    whether classify() at the adversarial example differs from seed_label
+    (None when nothing was found): a margin-0 witness sits on the logit tie,
+    which argmax may give to the seed's label."""
 
     seed_index: int
     seed_label: int
@@ -34,6 +36,7 @@ class RobustnessRecord:
     adversarial: np.ndarray | None = None
     rounded_ok: bool | None = None
     lazy: LazyStats = field(default_factory=LazyStats)
+    flips: bool | None = None
 
     @property
     def found(self) -> bool:
@@ -50,6 +53,7 @@ def record_to_json(record: RobustnessRecord) -> dict:
         "rho": record.rho_hat if record.found else None,
         "adversarial": record.adversarial.tolist() if record.adversarial is not None else None,
         "rounded_ok": record.rounded_ok,
+        "flips": record.flips,
         "lazy": record.lazy.to_json(),
         "timing": {"wall_time": record.lazy.wall_time},
     }
@@ -68,6 +72,7 @@ def record_from_json(obj: dict) -> RobustnessRecord:
         adversarial=np.asarray(adversarial, dtype=float) if adversarial is not None else None,
         rounded_ok=obj.get("rounded_ok"),
         lazy=lazy,
+        flips=obj.get("flips"),
     )
 
 
@@ -103,10 +108,8 @@ def pointwise_robustness(net: Network, seed, targets="second", margin: float = 0
     best = RobustnessRecord(seed_index, label, candidates[0] if len(candidates) == 1 else None,
                             INFINITE_RHO)
     for target in candidates:
-        core = linf_box_problem(seed, domain)
-        core.constraints += scaled_constraints(*output_constraints(region, target, margin),
-                                               core.num_vars)
-        solution, stats = lazy_solve(core, region.constraints, region.bias)
+        G, h = output_constraints(region, target, margin)
+        solution, stats = lazy_solve(seed, region.constraints, region.bias, G, h, domain)
         if solution.status == INFEASIBLE:
             continue
         if solution.status != OPTIMAL:
@@ -115,6 +118,8 @@ def pointwise_robustness(net: Network, seed, targets="second", margin: float = 0
         if rho < best.rho_hat:
             best = RobustnessRecord(seed_index, label, target, rho,
                                     adversarial=solution.z[: net.input_dim], lazy=stats)
+    if best.found:
+        best.flips = bool(classify(net, best.adversarial) != label)
     return best
 
 

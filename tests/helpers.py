@@ -167,3 +167,27 @@ def toy_run(seed, rounds=1):
         "base": _TOY_CACHE[base_key],
         "tuned": _TOY_CACHE[key],
     }
+
+
+def highs_min_eps(seed, A, b, G, h, domain=None):
+    """min ||x - seed||_inf subject to G x + h >= 0, A x + b >= 0 and, if
+    given, x in the domain, solved by scipy's HiGHS on the whole LP over
+    (x, eps); None when HiGHS proves it infeasible."""
+    from scipy.optimize import linprog
+
+    seed = np.asarray(seed, dtype=float)
+    n = seed.shape[0]
+    rows = np.vstack([G, A])
+    offsets = np.concatenate([h, b])
+    scale = np.maximum(np.abs(rows).max(axis=1, initial=0.0), 1e-300)
+    eye, ones = np.eye(n), np.ones((n, 1))
+    A_ub = np.vstack([np.hstack([eye, -ones]), np.hstack([-eye, -ones]),
+                      np.hstack([-rows / scale[:, None], np.zeros((len(rows), 1))])])
+    b_ub = np.concatenate([seed, -seed, offsets / scale])
+    box = (None, None) if domain is None else (float(domain[0]), float(domain[1]))
+    res = linprog(np.eye(n + 1)[n], A_ub=A_ub, b_ub=b_ub, bounds=[box] * n + [(0, None)],
+                  method="highs")
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return res.fun

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from relucert import (LPProblem, classify, compute_curve, compute_stats,
+from relucert import (classify, compute_curve, compute_stats,
                       exact_robustness, extract_region, fgsm, forward_batch,
                       grid_robustness, input_gradient, lazy_solve,
                       linf_box_problem, loss_and_gradients, pointwise_robustness,
@@ -84,15 +84,13 @@ def _certification_instance(rng):
     seed = rng.normal(size=2)
     region = extract_region(net, seed)
     target = int(rng.integers(0, 3))
-    core = linf_box_problem(seed)
-    core.constraints += scaled_constraints(*output_constraints(region, target, 0.0),
-                                           core.num_vars)
-    return core, region.constraints, region.bias
+    return (seed, region.constraints, region.bias) + output_constraints(region, target, 0.0)
 
 
-def _eager(core, A, b):
-    full = LPProblem(core.num_vars, core.objective, list(core.constraints), core.bounds)
-    full.constraints += scaled_constraints(A, b, core.num_vars)
+def _eager(seed, A, b, G, h):
+    full = linf_box_problem(seed)
+    full.constraints += scaled_constraints(G, h, full.num_vars)
+    full.constraints += scaled_constraints(A, b, full.num_vars)
     return simplex_solve(full)
 
 
@@ -100,9 +98,9 @@ def test_03_lazy_equals_eager():
     with _report(3, "working-set solve equals full solve; big net stays lazy"):
         rng = np.random.default_rng(2026)
         for _ in range(100):
-            core, A, b = _certification_instance(rng)
-            lazy_sol, stats = lazy_solve(core, A, b)
-            eager_sol = _eager(core, A, b)
+            instance = _certification_instance(rng)
+            lazy_sol, stats = lazy_solve(*instance)
+            eager_sol = _eager(*instance)
             assert lazy_sol.status == eager_sol.status
             if eager_sol.status == "optimal":
                 assert abs(lazy_sol.objective_value - eager_sol.objective_value) <= 1e-6
@@ -116,18 +114,16 @@ def test_03_lazy_equals_eager():
         for trial in range(40):
             seed = big_rng.normal(size=10) * (0.5 + trial * 0.1)
             region = extract_region(net, seed)
-            label = classify(net, seed)
-            core = linf_box_problem(seed)
-            core.constraints += scaled_constraints(
-                *output_constraints(region, second_label(net, seed), 0.0), core.num_vars)
+            instance = ((seed, region.constraints, region.bias)
+                        + output_constraints(region, second_label(net, seed), 0.0))
             t0 = time.perf_counter()
-            lazy_sol, stats = lazy_solve(core, region.constraints, region.bias)
+            lazy_sol, stats = lazy_solve(*instance)
             lazy_time = time.perf_counter() - t0
             if lazy_sol.status != "optimal":
                 continue
             assert stats.constraints_added < 0.5 * len(region.constraints)
             t0 = time.perf_counter()
-            eager_sol = _eager(core, region.constraints, region.bias)
+            eager_sol = _eager(*instance)
             eager_time = time.perf_counter() - t0
             assert abs(lazy_sol.objective_value - eager_sol.objective_value) <= 1e-6
             ratios.append(eager_time / max(lazy_time, 1e-9))

@@ -318,6 +318,24 @@ def test_usage_error_exit_code():
     assert main(["nonsense"]) == 1
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("certify", "--margin", "-1"), ("certify", "--margin", "nan"),
+    ("certify", "--margin", "inf"), ("certify", "--jobs", "-3"),
+    ("certify", "--jobs", "0"), ("certify", "--jobs", "two"),
+    ("attack", "--alpha", "-1"), ("finetune", "--alpha", "-0.5"),
+])
+def test_bad_numeric_flags_are_usage_errors(tmp_path, trap_model, capsys,
+                                            command, flag, value):
+    data = tmp_path / "one.csv"
+    data.write_text("0, 0.0\n")
+    out = tmp_path / "out"
+    argv = [command, "--model", str(trap_model), "--data", str(data), f"{flag}={value}"]
+    argv += ["--out-model", str(out)] if command == "finetune" else ["--out", str(out)]
+    assert main(argv) == 1
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_io_error_exit_code(tmp_path, capsys):
     data = tmp_path / "d.csv"
     data.write_text("0, 0.0\n")

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from relucert import (LPProblem, SimplexError, extract_region, lazy_solve,
-                      linf_box_problem, output_constraints, simplex_solve)
+                      linf_box_problem, output_constraints, second_label, simplex_solve)
 from relucert import lp
 from relucert.lp import scaled_constraints
-from helpers import random_dense_relu_net
+from helpers import highs_min_eps, random_dense_relu_net
 
 
 def _one_dim_flip_problem(threshold):
@@ -250,21 +250,22 @@ def test_linf_box_problem_row_order_and_values():
         assert p.bounds == bounds
 
 
-def _random_certification_instance(rng, dims=(2, 6, 3)):
+def _random_certification_instance(rng, dims=(2, 6, 3), domain=None, margin=0.0):
+    """(seed, A, b, G, h): a random net's region rows at a random seed (inside
+    the domain if one is given) and the output rows of a random target."""
     net = random_dense_relu_net(rng, list(dims))
-    seed = rng.normal(size=dims[0])
+    seed = rng.normal(size=dims[0]) if domain is None else rng.uniform(*domain, size=dims[0])
     region = extract_region(net, seed)
-    core = linf_box_problem(seed)
     target = int(rng.integers(0, dims[-1]))
-    G, h = output_constraints(region, target)
-    for row, offset in zip(G, h):
-        core.add(np.append(row, 0.0), ">=", -offset)
-    return core, region.constraints, region.bias
+    G, h = output_constraints(region, target, margin)
+    return seed, region.constraints, region.bias, G, h
 
 
-def _eager_problem(core, A, b):
-    full = LPProblem(core.num_vars, core.objective, list(core.constraints), core.bounds)
-    full.constraints += scaled_constraints(A, b, core.num_vars)
+def _eager_problem(seed, A, b, G, h):
+    """The whole min-epsilon LP in the generic form, every row present."""
+    full = linf_box_problem(seed)
+    full.constraints += scaled_constraints(G, h, full.num_vars)
+    full.constraints += scaled_constraints(A, b, full.num_vars)
     return full
 
 
@@ -279,12 +280,16 @@ def test_scaled_constraints_unit_max_rows():
     assert [c.rhs for c in rows] == [-0.25, -3.0, 2.0]
 
 
+_NO_POOL = (np.zeros((0, 1)), np.zeros(0))
+
+
 def test_lazy_empty_pool_equals_plain_solve():
-    core = _one_dim_flip_problem(0.25)
-    plain = simplex_solve(core)
-    sol, stats = lazy_solve(core, np.zeros((0, 1)), np.zeros(0))
+    # x <= -0.25 from the seed 0, as -x - 0.25 >= 0
+    plain = simplex_solve(_one_dim_flip_problem(0.25))
+    sol, stats = lazy_solve(np.zeros(1), *_NO_POOL, np.array([[-1.0]]), np.array([-0.25]))
     assert sol.status == plain.status
-    assert sol.objective_value == plain.objective_value
+    assert sol.objective_value == pytest.approx(plain.objective_value, abs=1e-12)
+    assert sol.z == pytest.approx(plain.z, abs=1e-12)
     assert stats.outer_iterations == 1
     assert stats.constraints_added == 0
 
@@ -293,9 +298,9 @@ def test_lazy_matches_eager_on_random_instances():
     rng = np.random.default_rng(71)
     solved = 0
     for _ in range(50):
-        core, A, b = _random_certification_instance(rng)
-        lazy_sol, stats = lazy_solve(core, A, b)
-        eager_sol = simplex_solve(_eager_problem(core, A, b))
+        seed, A, b, G, h = _random_certification_instance(rng)
+        lazy_sol, stats = lazy_solve(seed, A, b, G, h)
+        eager_sol = simplex_solve(_eager_problem(seed, A, b, G, h))
         assert lazy_sol.status == eager_sol.status
         if eager_sol.status == "optimal":
             solved += 1
@@ -307,28 +312,118 @@ def test_lazy_matches_eager_on_random_instances():
 def test_lazy_solution_feasible_for_whole_pool():
     rng = np.random.default_rng(73)
     for _ in range(20):
-        core, A, b = _random_certification_instance(rng)
-        sol, _ = lazy_solve(core, A, b)
+        seed, A, b, G, h = _random_certification_instance(rng)
+        sol, _ = lazy_solve(seed, A, b, G, h)
         if sol.status != "optimal":
             continue
-        x = sol.z[:-1]
+        x, eps = sol.z[:-1], sol.z[-1]
         assert (A @ x + b).min(initial=0.0) >= -1e-6
+        assert (G @ x + h).min(initial=0.0) >= -1e-6
+        assert np.abs(x - seed).max() <= eps + 1e-9
+        assert sol.objective_value == eps
 
 
 def test_lazy_reports_infeasible_when_full_system_is():
-    core = _one_dim_flip_problem(1.0)
-    core.add(np.array([1.0, 0.0]), ">=", 2.0)  # contradicts x <= -1
-    sol, stats = lazy_solve(core, np.zeros((0, 1)), np.zeros(0))
+    # x <= -1 and x >= 2 from the seed 0
+    G, h = np.array([[-1.0], [1.0]]), np.array([-1.0, -2.0])
+    sol, stats = lazy_solve(np.zeros(1), *_NO_POOL, G, h)
     assert sol.status == "infeasible"
+    assert sol.z is None and sol.objective_value == float("inf")
     assert stats.outer_iterations >= 1
+    eager = _one_dim_flip_problem(1.0)
+    eager.add(np.array([1.0, 0.0]), ">=", 2.0)
+    assert simplex_solve(eager).status == "infeasible"
+
+
+@pytest.mark.parametrize("domain, margin", [(None, 0.0), ((0.0, 1.0), 0.0),
+                                            (None, 0.5), ((0.0, 1.0), 0.3)])
+def test_lazy_agrees_with_highs(domain, margin):
+    pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(211)
+    outcomes = {"found": 0, "infeasible": 0}
+    for _ in range(40):
+        dims = (int(rng.integers(2, 5)), int(rng.integers(4, 12)), int(rng.integers(4, 9)), 3)
+        seed, A, b, G, h = _random_certification_instance(rng, dims, domain, margin)
+        sol, _ = lazy_solve(seed, A, b, G, h, domain)
+        ref = highs_min_eps(seed, A, b, G, h, domain)
+        if ref is None:
+            assert sol.status == "infeasible"
+            outcomes["infeasible"] += 1
+        else:
+            assert sol.status == "optimal"
+            assert sol.objective_value == pytest.approx(ref, abs=1e-6)
+            outcomes["found"] += 1
+    assert min(outcomes.values()) >= 5, outcomes
+
+
+def test_lazy_with_the_seed_outside_the_domain():
+    # domain rows start with a negative rhs here; the start stays dual feasible
+    pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(223)
+    for _ in range(20):
+        seed, A, b, G, h = _random_certification_instance(rng, (3, 8, 3), (-0.5, 1.5))
+        domain = (0.0, 1.0)
+        sol, _ = lazy_solve(seed, A, b, G, h, domain)
+        ref = highs_min_eps(seed, A, b, G, h, domain)
+        assert sol.status == ("infeasible" if ref is None else "optimal")
+        if ref is not None:
+            assert sol.objective_value == pytest.approx(ref, abs=1e-6)
+            assert sol.z[:-1].min() >= -1e-9 and sol.z[:-1].max() <= 1.0 + 1e-9
+
+
+def test_lazy_is_deterministic():
+    rng = np.random.default_rng(227)
+    for _ in range(10):
+        args = _random_certification_instance(rng, (4, 10, 10, 3), (0.0, 1.0))
+        (sol1, st1), (sol2, st2) = (lazy_solve(*args, (0.0, 1.0)) for _ in range(2))
+        assert sol1.status == sol2.status and sol1.pivots == sol2.pivots
+        assert (sol1.z is None) == (sol2.z is None)
+        if sol1.z is not None:
+            assert sol1.z.tobytes() == sol2.z.tobytes()
+        assert st1.to_json() == st2.to_json()
+
+
+def test_lazy_max_pivots_zero_stops_at_the_limit():
+    rng = np.random.default_rng(229)
+    stopped = 0
+    for _ in range(10):
+        seed, A, b, G, h = _random_certification_instance(rng)
+        if (G @ seed + h).min() >= 0:
+            continue  # no violated output row: optimal without a pivot
+        sol, stats = lazy_solve(seed, A, b, G, h, max_pivots=0)
+        assert sol.status == "iteration_limit"
+        assert sol.z is None and np.isnan(sol.objective_value)
+        assert sol.pivots == stats.total_pivots == 0
+        stopped += 1
+    assert stopped >= 5
+
+
+def test_lazy_bland_fallback_gives_the_same_rho(monkeypatch):
+    rng = np.random.default_rng(233)
+    instances = []
+    for k in range(12):
+        net = random_dense_relu_net(rng, [10, 40, 5])
+        seed = rng.uniform(0.0, 1.0, size=10)
+        region = extract_region(net, seed)
+        G, h = output_constraints(region, second_label(net, seed))
+        instances.append((seed, region.constraints, region.bias, G, h,
+                          (0.0, 1.0) if k % 2 else None))
+    fast = [lazy_solve(*args)[0] for args in instances]
+    monkeypatch.setattr(lp, "_STALL_PIVOTS", 0)  # Bland's dual rule from the first pivot
+    bland = [lazy_solve(*args)[0] for args in instances]
+    assert sum(s.status == "optimal" for s in fast) >= 8
+    assert any(f.pivots != s.pivots for f, s in zip(fast, bland))  # another pivot path
+    for f, s in zip(fast, bland):
+        assert f.status == s.status
+        if f.status == "optimal":
+            assert s.objective_value == pytest.approx(f.objective_value, abs=1e-9)
 
 
 def test_against_scipy_linprog():
     scipy_opt = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(79)
     for _ in range(25):
-        core, A, b = _random_certification_instance(rng)
-        full = _eager_problem(core, A, b)
+        full = _eager_problem(*_random_certification_instance(rng))
         ours = simplex_solve(full)
         A_ub, b_ub = [], []
         for c in full.constraints:
@@ -385,8 +480,7 @@ def test_against_scipy_with_equalities_and_bounds():
 def test_optimal_solutions_satisfy_all_constraints():
     rng = np.random.default_rng(83)
     for _ in range(20):
-        core, A, b = _random_certification_instance(rng)
-        full = _eager_problem(core, A, b)
+        full = _eager_problem(*_random_certification_instance(rng))
         sol = simplex_solve(full)
         if sol.status != "optimal":
             continue

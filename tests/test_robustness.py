@@ -1,15 +1,19 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import relucert.robustness
 from relucert import (Dense, LPSolution, Network, SimplexError, classify,
-                      exact_robustness, extract_adversarial, forward,
+                      exact_robustness, extract_adversarial, extract_region, forward,
+                      load_dataset, load_model, output_constraints,
                       pointwise_robustness, record_from_json, record_to_json,
                       verify_record)
 from relucert.lp import ITERATION_LIMIT, LazyStats
-from helpers import random_dense_relu_net
+from helpers import highs_min_eps, naive_forward, random_dense_relu_net
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_second_label_estimate_on_linear_classifier(gradient_trap_net):
@@ -56,7 +60,7 @@ def test_all_policy_is_min_over_fixed_targets():
 
 
 def test_iteration_limit_raises_instead_of_not_found(gradient_trap_net, monkeypatch):
-    def stopped(core, A, b):
+    def stopped(seed, A, b, G, h, domain=None):
         return LPSolution(ITERATION_LIMIT, None, float("nan"), 7), LazyStats()
 
     monkeypatch.setattr(relucert.robustness, "lazy_solve", stopped)
@@ -203,3 +207,70 @@ def test_record_json_infeasible_round_trip():
     assert obj["rho"] is None
     back = record_from_json(obj)
     assert back.rho_hat == math.inf
+
+
+def test_record_json_carries_flips_and_reads_records_without_it(gradient_trap_net):
+    record = pointwise_robustness(gradient_trap_net, np.array([0.0]))
+    obj = record_to_json(record)
+    assert obj["flips"] is record.flips is not None
+    assert record_from_json(obj).flips == record.flips
+    del obj["flips"]
+    assert record_from_json(obj).flips is None
+    net = Network([Dense(np.zeros((2, 1)), np.array([1.0, 0.0]))], 1, 2)
+    assert record_to_json(pointwise_robustness(net, np.array([0.0])))["flips"] is None
+
+
+def test_flips_matches_naive_forward():
+    """flips against an independent evaluator, wherever that evaluator's
+    decision is clear: a margin-0 witness sits on a logit tie, where the two
+    evaluators may round apart."""
+    rng = np.random.default_rng(239)
+    clear = {True: 0, False: 0}
+    for _ in range(40):
+        net = random_dense_relu_net(rng, [3, int(rng.integers(3, 8)), 4])
+        seed = rng.normal(size=3)
+        for margin in (0.0, 0.5):
+            record = pointwise_robustness(net, seed, targets="all", margin=margin)
+            if not record.found:
+                assert record.flips is None
+                continue
+            logits = naive_forward(net, record.adversarial)
+            gap = np.delete(logits, record.seed_label).max() - logits[record.seed_label]
+            if abs(gap) > 1e-9:
+                naive_flips = bool(np.argmax(logits) != record.seed_label)
+                assert record.flips == naive_flips
+                clear[naive_flips] += 1
+            if margin > 0:
+                assert record.flips is True
+    assert clear[True] >= 20
+
+
+def test_conv_all_point_19_regression():
+    """The conv-all benchmark net and row 19 of its dataset: one target of this
+    point once stopped phase 1 as "unbounded" and lost the whole point."""
+    net = load_model(DATA / "conv_all_model.json")
+    point = load_dataset(DATA / "conv_all_point19.csv", "csv", input_dim=net.input_dim,
+                         num_labels=net.num_labels)[0]
+    record = pointwise_robustness(net, point.x, targets="all")
+    assert record.seed_label == point.label == 9
+    assert record.target_label == 0
+    assert record.rho_hat == pytest.approx(0.0639089123, abs=1e-9)
+    pytest.importorskip("scipy.optimize")
+    region = extract_region(net, point.x)
+    refs = [highs_min_eps(point.x, region.constraints, region.bias,
+                          *output_constraints(region, t))
+            for t in range(net.num_labels) if t != record.seed_label]
+    assert min(r for r in refs if r is not None) == pytest.approx(record.rho_hat, abs=1e-6)
+
+
+@pytest.mark.parametrize("weights, bias, label, flips", [
+    ([[-1.0], [0.0]], [1.0, 0.0], 0, False),  # the tie goes to the seed's label 0
+    ([[0.0], [-1.0]], [0.0, 1.0], 1, True),   # the tie goes to the target 0
+])
+def test_flips_at_an_exact_tie_follows_argmax(weights, bias, label, flips):
+    net = Network([Dense(np.array(weights), np.array(bias))], 1, 2)
+    record = pointwise_robustness(net, np.array([0.0]))
+    assert record.seed_label == label and record.adversarial[0] == 1.0
+    logits = naive_forward(net, record.adversarial)
+    assert logits[0] == logits[1]
+    assert record.flips is flips is bool(np.argmax(logits) != label)
