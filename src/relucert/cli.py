@@ -51,14 +51,19 @@ def _nonnegative(text):
     return value
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(low):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _add_data_args(p):
@@ -103,21 +108,21 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("exact", help="enumeration-oracle robustness per point")
     _add_data_args(p)
-    p.add_argument("--max-sites", type=int, default=16)
+    p.add_argument("--max-sites", type=_int_at_least(0), default=16)
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("finetune", help="adversarially fine-tune a model")
     _add_data_args(p)
-    p.add_argument("--rounds", type=int, default=1)
+    p.add_argument("--rounds", type=_positive_int, default=1)
     p.add_argument("--alpha", type=_nonnegative, default=3.0)
     p.add_argument("--attack", choices=("lp", "fgsm"), default="lp")
     p.add_argument("--fgsm-eps", type=float)
     p.add_argument("--round-integers", action="store_true")
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--lr-scale", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--epochs", type=_positive_int, default=100)
+    p.add_argument("--batch-size", type=_positive_int, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-model", required=True)
     p.set_defaults(func=cmd_finetune)

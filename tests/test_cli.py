@@ -323,6 +323,9 @@ def test_usage_error_exit_code():
     ("certify", "--margin", "inf"), ("certify", "--jobs", "-3"),
     ("certify", "--jobs", "0"), ("certify", "--jobs", "two"),
     ("attack", "--alpha", "-1"), ("finetune", "--alpha", "-0.5"),
+    ("finetune", "--epochs", "-5"), ("finetune", "--epochs", "0"),
+    ("finetune", "--batch-size", "-1"), ("finetune", "--batch-size", "0"),
+    ("finetune", "--rounds", "0"), ("exact", "--max-sites", "-1"),
 ])
 def test_bad_numeric_flags_are_usage_errors(tmp_path, trap_model, capsys,
                                             command, flag, value):

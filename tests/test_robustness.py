@@ -7,10 +7,11 @@ import pytest
 import relucert.robustness
 from relucert import (Dense, LPSolution, Network, SimplexError, classify,
                       exact_robustness, extract_adversarial, extract_region, forward,
-                      load_dataset, load_model, output_constraints,
+                      lazy_solve, load_dataset, load_model, output_constraints,
                       pointwise_robustness, record_from_json, record_to_json,
                       verify_record)
-from relucert.lp import ITERATION_LIMIT, LazyStats
+from relucert.lp import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, LazyStats
+from relucert.robustness import RobustnessRecord, rho_lower_bound
 from helpers import highs_min_eps, naive_forward, random_dense_relu_net
 
 DATA = Path(__file__).parent / "data"
@@ -245,13 +246,29 @@ def test_flips_matches_naive_forward():
     assert clear[True] >= 20
 
 
-def test_conv_all_point_19_regression():
+def _count_solves(monkeypatch):
+    """Route pointwise_robustness's lazy_solve through a counter; returns the
+    list that gains one entry per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lazy_solve(*args, **kwargs)
+
+    monkeypatch.setattr(relucert.robustness, "lazy_solve", counted)
+    return calls
+
+
+def test_conv_all_point_19_regression(monkeypatch):
     """The conv-all benchmark net and row 19 of its dataset: one target of this
-    point once stopped phase 1 as "unbounded" and lost the whole point."""
+    point once stopped phase 1 as "unbounded" and lost the whole point. Of its
+    nine targets at most two are solved; the rest cannot win."""
     net = load_model(DATA / "conv_all_model.json")
     point = load_dataset(DATA / "conv_all_point19.csv", "csv", input_dim=net.input_dim,
                          num_labels=net.num_labels)[0]
+    calls = _count_solves(monkeypatch)
     record = pointwise_robustness(net, point.x, targets="all")
+    assert len(calls) <= 2
     assert record.seed_label == point.label == 9
     assert record.target_label == 0
     assert record.rho_hat == pytest.approx(0.0639089123, abs=1e-9)
@@ -274,3 +291,117 @@ def test_flips_at_an_exact_tie_follows_argmax(weights, bias, label, flips):
     logits = naive_forward(net, record.adversarial)
     assert logits[0] == logits[1]
     assert record.flips is flips is bool(np.argmax(logits) != label)
+
+
+@pytest.mark.parametrize("with_region", [False, True])
+@pytest.mark.parametrize("with_domain", [False, True])
+def test_rho_lower_bound_is_below_highs(with_region, with_domain):
+    """gap / ||g||_1 of any violated output row never exceeds the whole LP's
+    optimum; a violated all-zero row makes the bound and the LP infinite."""
+    pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(241 + 2 * with_region + with_domain)
+    domain = (-2.0, 2.0) if with_domain else None
+    positive = 0
+    for trial in range(60):
+        n, k = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        seed = rng.uniform(-1.0, 1.0, size=n)
+        G = rng.normal(size=(k, n))
+        if trial % 10 == 0:
+            G[0] = 0.0
+        h = -G @ seed + rng.normal(scale=0.5, size=k)
+        m = int(rng.integers(1, 6)) if with_region else 0
+        A = rng.normal(size=(m, n))
+        b = -A @ seed + rng.uniform(0.0, 0.5, size=m)
+        bound = rho_lower_bound(seed, G, h)
+        ref = highs_min_eps(seed, A, b, G, h, domain)
+        if bound == math.inf:
+            assert ref is None
+        elif ref is not None:
+            assert bound <= ref + 1e-9
+            positive += bound > 0
+    assert positive >= 20
+
+
+def test_rho_lower_bound_is_exact_for_one_row():
+    pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(251)
+    none = (np.zeros((0, 3)), np.zeros(0))
+    for _ in range(20):
+        seed = rng.normal(size=3)
+        g = rng.normal(size=(1, 3))
+        h = -g @ seed - rng.uniform(0.1, 1.0, size=1)
+        assert rho_lower_bound(seed, g, h) == pytest.approx(highs_min_eps(seed, *none, g, h),
+                                                            abs=1e-9)
+    # the row shifted so that the seed meets it gives no bound
+    assert rho_lower_bound(seed, g, -h - 2 * g @ seed) == 0.0
+
+
+def _solve_every_target(net, seed, margin, respect_domain, seed_index):
+    """Every other label solved in label order, the strict minimum kept (so a
+    tie goes to the lower label): the record that target skipping must keep."""
+    label = classify(net, seed)
+    region = extract_region(net, seed)
+    domain = net.input_domain if respect_domain else None
+    best = RobustnessRecord(seed_index, label, None, math.inf)
+    for target in range(net.num_labels):
+        if target == label:
+            continue
+        G, h = output_constraints(region, target, margin)
+        solution, stats = lazy_solve(seed, region.constraints, region.bias, G, h, domain)
+        if solution.status == INFEASIBLE:
+            continue
+        assert solution.status == OPTIMAL
+        rho = max(solution.objective_value, 0.0)
+        if rho < best.rho_hat:
+            best = RobustnessRecord(seed_index, label, target, rho,
+                                    adversarial=solution.z[: net.input_dim], lazy=stats)
+    if best.found:
+        best.flips = bool(classify(net, best.adversarial) != label)
+    return best
+
+
+def _without_timing(record):
+    obj = record_to_json(record)
+    del obj["timing"]
+    return obj
+
+
+@pytest.mark.parametrize("margin", [0.0, 0.3])
+@pytest.mark.parametrize("respect_domain", [False, True])
+def test_target_skipping_keeps_the_record_of_solving_every_target(margin, respect_domain,
+                                                                   monkeypatch):
+    rng = np.random.default_rng(257)
+    calls = _count_solves(monkeypatch)
+    found = solves = targets = 0
+    for i in range(40):
+        dims = [int(rng.integers(2, 5)), int(rng.integers(3, 8)), int(rng.integers(3, 7))]
+        net = random_dense_relu_net(rng, dims, domain=(-1.0, 1.0))
+        seed = rng.uniform(-1.0, 1.0, size=dims[0])
+        calls.clear()
+        record = pointwise_robustness(net, seed, targets="all", margin=margin,
+                                      respect_domain=respect_domain, seed_index=i)
+        reference = _solve_every_target(net, seed, margin, respect_domain, i)
+        assert _without_timing(record) == _without_timing(reference)
+        found += record.found
+        solves += len(calls)
+        targets += dims[-1] - 1
+    assert found >= 10
+    assert solves < targets
+
+
+def test_equal_rho_goes_to_the_lower_target():
+    # l1 = x1 - 1 and l2 = x2 - x1 - 1 against l0 = 0 on the domain x >= 0:
+    # both targets need radius 1, but target 2's only violated row gives the
+    # smaller bound 1/2, so target 2 is solved first and target 1 must still win
+    net = Network([Dense(np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 1.0]]),
+                         np.array([0.0, -1.0, -1.0]))], 2, 3, input_domain=(0.0, 5.0))
+    seed = np.zeros(2)
+    region = extract_region(net, seed)
+    assert [rho_lower_bound(seed, *output_constraints(region, t)) for t in (1, 2)] == [1.0, 0.5]
+    fixed = {t: pointwise_robustness(net, seed, targets=t, respect_domain=True)
+             for t in (1, 2)}
+    assert fixed[1].rho_hat == fixed[2].rho_hat == 1.0
+    record = pointwise_robustness(net, seed, targets="all", respect_domain=True)
+    assert record.target_label == 1
+    assert _without_timing(record) == _without_timing(fixed[1])
+

@@ -41,6 +41,14 @@ def test_train_rejects_unsupported_layers():
         train(net, data, TrainConfig())
 
 
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 0), ("epochs", -5), ("batch_size", 0), ("batch_size", -1),
+])
+def test_config_rejects_counts_that_train_nothing(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        TrainConfig(**{field: value})
+
+
 def _numeric_gradient(net, X, y, get, set_, shape, step=1e-5):
     grad = np.zeros(shape)
     it = np.nditer(grad, flags=["multi_index"])
