@@ -41,14 +41,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _nonnegative(text):
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
+def _finite_number(accept, what):
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and accept(value)):
+            raise argparse.ArgumentTypeError(f"must be a finite number {what}, got {text!r}")
+        return value
+    return parse
+
+
+_nonnegative = _finite_number(lambda value: value >= 0, ">= 0")
+_positive = _finite_number(lambda value: value > 0, "> 0")
 
 
 def _int_at_least(low):
@@ -91,7 +97,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("stats", help="frequency/severity of a record file")
     p.add_argument("--records", required=True)
-    p.add_argument("--eps", type=float, default=20.0)
+    p.add_argument("--eps", type=_positive, default=20.0)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("curve", help="cumulative robustness curve as CSV")
@@ -117,10 +123,10 @@ def build_parser() -> _Parser:
     p.add_argument("--rounds", type=_positive_int, default=1)
     p.add_argument("--alpha", type=_nonnegative, default=3.0)
     p.add_argument("--attack", choices=("lp", "fgsm"), default="lp")
-    p.add_argument("--fgsm-eps", type=float)
+    p.add_argument("--fgsm-eps", type=_nonnegative)
     p.add_argument("--round-integers", action="store_true")
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--lr-scale", type=float, default=0.1)
+    p.add_argument("--lr", type=_nonnegative, default=0.1)
+    p.add_argument("--lr-scale", type=_nonnegative, default=0.1)
     p.add_argument("--epochs", type=_positive_int, default=100)
     p.add_argument("--batch-size", type=_positive_int, default=32)
     p.add_argument("--seed", type=int, default=0)

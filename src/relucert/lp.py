@@ -1,25 +1,37 @@
 """Linear programs: the min-epsilon solver that certification uses, and a
 generic two-phase simplex kept as the independent reference.
 
-lazy_solve minimizes eps = ||x - seed||_inf over output rows, an optional
-input domain and region rows, with a dual simplex on the shifted variables
+lazy_solve minimizes eps = ||x - seed||_inf over output rows, region rows
+and an optional input domain, with a dual simplex on the shifted variables
 z = (u, eps) >= 0, x = seed + u - eps * 1. Every row is a . z <= r:
 
 - box rows u_i - 2 eps <= 0 (u_i >= 0 is the other side of |x_i - seed_i| <= eps);
-- domain rows u_i - eps <= hi - seed_i and -u_i + eps <= seed_i - lo;
-- output and region rows A x + b >= 0, scaled to unit max coefficient, as
+- output rows, region rows A x + b >= 0 and the domain rows x_i - lo >= 0 and
+  hi - x_i >= 0, scaled to unit max coefficient, as
   -A u + (A 1) eps <= A seed + b.
 
-At the seed every rhs but the output rows' (and a domain row's, for a seed
-outside the domain) is >= 0. The costs are 0 on u and 1 on eps, so the
+The tableau starts with the box rows and the output rows. At the seed every
+rhs but the output rows' is >= 0. The costs are 0 on u and 1 on eps, so the
 all-slack basis is dual feasible and no phase 1 is needed. The leaving row is
 the most infeasible one; the entering column has the min ratio of reduced
 cost to |pivot|, ties going to the largest |pivot|. After _STALL_PIVOTS
 pivots in a row that do not raise the objective, Bland's dual rule (smallest
 basic index leaves, smallest column index enters) takes over until one does,
-so the solve cannot cycle. Region rows the optimum violates are appended as
-cuts, each on a new slack and reduced by the current basis, and the dual
-simplex resumes from that basis.
+so the solve cannot cycle. The region and domain rows form a pool: those the
+optimum violates are appended as cuts, each on a new slack and reduced by the
+current basis, and the dual simplex resumes from that basis, which is still
+dual feasible (a cut only adds a basic slack, even one with rhs < 0, as for a
+seed outside the domain).
+
+The tableau is held in one buffer: row 0 is the objective, column 0 the rhs,
+then the columns of u, eps and one slack per row of the buffer's capacity.
+With m rows in use the tableau is buf[:m + 1], all columns; the slack columns
+of rows not yet added hold 0 and never enter. Whole rows keep the tableau
+contiguous: numpy's in-place update of a strided view buf[:m + 1, :w] ran
+2-5 times slower. The buffer starts with room for _HEADROOM rows beyond the
+initial ones; cuts are written into it in place, and when a batch does not
+fit the row capacity doubles (or grows to fit the batch) and the tableau is
+copied over once.
 
 simplex_solve is a dense two-phase primal simplex with Bland's rule
 (smallest index enters; min-ratio ties broken by smallest basic index), so
@@ -47,6 +59,7 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 _RATIO_TIE = 1e-9
 _STALL_PIVOTS = 50  # non-improving dual pivots before Bland's dual rule
+_HEADROOM = 32  # tableau rows allocated beyond lazy_solve's initial rows
 
 _SLACK_SIGN = {"<=": 1, ">=": -1, "=": 0}
 
@@ -108,8 +121,8 @@ class LPSolution:
 @dataclass
 class LazyStats:
     """Diagnostics of one lazy_solve: dual simplex runs (one plus one per
-    batch of cuts), region rows added as cuts, rows of the final tableau, and
-    pivots over all runs."""
+    batch of cuts), region and domain rows added as cuts, rows of the final
+    tableau (box rows, output rows and cuts), and pivots over all runs."""
 
     outer_iterations: int = 0
     constraints_added: int = 0
@@ -126,14 +139,12 @@ class LazyStats:
         }
 
 
-def _pivot(T, basis, row, col):
-    T[row] /= T[row, col]
-    column = T[:, col].copy()
-    column[row] = 0.0
-    T -= np.outer(column, T[row])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-    basis[row] = col
+def _pivot(T, row, col):
+    """Pivot T on (row, col). After x / x the pivot is exactly 1, so the rank-1
+    update leaves exactly 0 in the rest of the pivot column."""
+    line = T[row] / T[row, col]
+    T -= T[:, col, None] * line
+    T[row] = line
 
 
 def _iterate(T, basis, max_pivots, pivots):
@@ -156,7 +167,8 @@ def _iterate(T, basis, max_pivots, pivots):
         best = ratios.min()
         tie = rows[ratios <= best + _RATIO_TIE * (1.0 + abs(best))]
         leave = int(tie[np.argmin(basis[tie])])  # Bland: smallest basic index
-        _pivot(T, basis, leave, col)
+        _pivot(T, leave, col)
+        basis[leave] = col
         pivots += 1
 
 
@@ -242,7 +254,8 @@ def simplex_solve(problem: LPProblem, max_pivots: int | None = None) -> LPSoluti
             if basis[i] >= art_start:
                 nz = np.nonzero(np.abs(T[i, :art_start]) > PIVOT_TOL)[0]
                 if nz.size:
-                    _pivot(T, basis, i, int(nz[0]))
+                    _pivot(T, i, int(nz[0]))
+                    basis[i] = int(nz[0])
                     pivots += 1
                 else:
                     drop.append(i)
@@ -302,60 +315,71 @@ def _shifted_rows(seed, A, b):
     return np.hstack([-a, a.sum(axis=1, keepdims=True)]), a @ seed + c
 
 
-def _append_rows(T, basis, rows, rhs):
-    """The tableau with rows . z <= rhs appended, each on a new basic slack
-    column and reduced by the current basis; returns (T, basis)."""
-    m, k = T.shape[0] - 1, rows.shape[0]
-    width = T.shape[1] - 1  # columns before rhs
-    T = np.insert(T, np.full(k, m), 0.0, axis=0)  # k rows before the objective row
-    T = np.insert(T, np.full(k, width), 0.0, axis=1)  # k slack columns before rhs
-    block = T[m:m + k]
-    block[:, : rows.shape[1]] = rows
-    block[np.arange(k), width + np.arange(k)] = 1.0
-    block[:, -1] = rhs
-    block -= block[:, basis] @ T[:m]
-    return T, np.concatenate([basis, width + np.arange(k)])
+def _append_rows(buf, basis, rows, rhs):
+    """Append rows . z <= rhs to the tableau held in buf, each on a new basic
+    slack column and reduced by the current basis; returns (buf, basis).
+
+    The tableau is buf[:m + 1] with m = len(basis): row 0 is the objective,
+    column 0 the rhs, then the rows.shape[1] structural columns and one slack
+    column per row. The slack columns of rows not yet added, and the rows
+    below m, hold 0. A buffer with capacity for R rows is
+    (R + 1, rows.shape[1] + R + 1); when the new rows do not fit, R doubles
+    (or grows to fit them) and the tableau is copied into a fresh buffer.
+    """
+    m, (k, d) = len(basis), rows.shape
+    w = d + m
+    if m + k > buf.shape[0] - 1:
+        cap = max(2 * (buf.shape[0] - 1), m + k)
+        grown = np.zeros((cap + 1, d + cap + 1))
+        grown[:m + 1, :buf.shape[1]] = buf[:m + 1]
+        buf = grown
+    block = buf[m + 1:m + k + 1]
+    block[:, 0] = rhs
+    block[:, 1:d + 1] = rows
+    block[np.arange(k), w + 1 + np.arange(k)] = 1.0
+    block -= block[:, basis] @ buf[1:m + 1]
+    return buf, np.concatenate([basis, w + 1 + np.arange(k)])
 
 
 def _dual_iterate(T, basis, max_pivots, pivots):
-    """Dual simplex on a dual-feasible tableau of '<=' rows until primal
-    feasible (optimal), a row proves infeasibility, or the pivot limit."""
-    m = T.shape[0] - 1
+    """Dual simplex on a dual-feasible tableau of '<=' rows (objective row 0,
+    rhs column 0, basis[i] the basic column of row i + 1) until primal feasible
+    (optimal), a row proves infeasibility, or the pivot limit."""
+    cost, rhs = T[0, 1:], T[1:, 0]
     stall = 0
     while True:
-        rhs = T[:m, -1]
-        rows = np.flatnonzero(rhs < -PIVOT_TOL)
-        if rows.size == 0:
+        leave = int(rhs.argmin())  # the first most infeasible row
+        if rhs[leave] >= -PIVOT_TOL:
             return OPTIMAL, pivots
         if pivots >= max_pivots:
             return ITERATION_LIMIT, pivots
         bland = stall >= _STALL_PIVOTS
         if bland:  # smallest basic index leaves
-            leave = int(rows[np.argmin(basis[rows])])
-        else:  # most infeasible row leaves
-            leave = int(rows[np.argmin(rhs[rows])])
-        line = T[leave, :-1]
-        cols = np.flatnonzero(line < -PIVOT_TOL)
+            rows = (rhs < -PIVOT_TOL).nonzero()[0]
+            leave = int(rows[basis[rows].argmin()])
+        line = T[leave + 1, 1:]
+        cols = (line < -PIVOT_TOL).nonzero()[0]
         if cols.size == 0:
             # z >= 0 with every coefficient >= 0 cannot reach rhs < 0
             return INFEASIBLE, pivots
-        ratios = np.maximum(T[-1, cols], 0.0) / -line[cols]
+        ratios = np.maximum(cost[cols], 0.0) / -line[cols]
         best = ratios.min()
         tie = cols[ratios <= best + _RATIO_TIE * (1.0 + best)]
         # Bland: smallest entering index; else the largest |pivot|
-        col = int(tie[0]) if bland else int(tie[np.argmin(line[tie])])
-        before = T[-1, -1]
-        _pivot(T, basis, leave, col)
+        col = 1 + int(tie[0] if bland else tie[line[tie].argmin()])
+        before = T[0, 0]
+        _pivot(T, leave + 1, col)
+        basis[leave] = col
         pivots += 1
-        # -T[-1, -1] is the objective, which a dual pivot never lowers
-        stall = 0 if before - T[-1, -1] > _RATIO_TIE * (1.0 + abs(before)) else stall + 1
+        # -T[0, 0] is the objective, which a dual pivot never lowers
+        stall = 0 if before - T[0, 0] > _RATIO_TIE * (1.0 + abs(before)) else stall + 1
 
 
 def lazy_solve(seed, A, b, G, h, domain=None,
                max_pivots: int | None = None) -> tuple[LPSolution, LazyStats]:
     """Minimize eps = ||x - seed||_inf subject to the output rows G x + h >= 0,
     the optional domain lo <= x <= hi, and the pool rows A x + b >= 0, the pool
-    rows added only as the incumbent violates them.
+    rows and the domain rows added only as the incumbent violates them.
 
     Returns z = (x, eps) with objective_value eps. The dual simplex runs on the
     shifted form (module docstring) from the all-slack basis; after each
@@ -370,42 +394,43 @@ def lazy_solve(seed, A, b, G, h, domain=None,
     seed = np.asarray(seed, dtype=float)
     n = seed.shape[0]
     eye = np.eye(n)
-    blocks = [(np.hstack([eye, np.full((n, 1), -2.0)]), np.zeros(n))]
     if domain is not None:
         lo, hi = float(domain[0]), float(domain[1])
-        ones = np.ones((n, 1))
-        blocks += [(np.hstack([eye, -ones]), hi - seed), (np.hstack([-eye, ones]), seed - lo)]
-    blocks.append(_shifted_rows(seed, G, h))
-    rows = np.vstack([r for r, _ in blocks])
-    rhs = np.concatenate([r for _, r in blocks])
+        A = np.vstack([A, eye, -eye])
+        b = np.concatenate([b, np.full(n, -lo), np.full(n, hi)])
+    out_rows, out_rhs = _shifted_rows(seed, G, h)
+    rows = np.vstack([np.hstack([eye, np.full((n, 1), -2.0)]), out_rows])
+    rhs = np.concatenate([np.zeros(n), out_rhs])
     if max_pivots is None:
         m = len(rows) + len(A)
         max_pivots = 10_000 + 50 * (m + n + 1 + m)
 
-    T = np.zeros((1, n + 2))
-    T[0, n] = 1.0  # costs: 0 on u, 1 on eps
-    T, basis = _append_rows(T, np.zeros(0, dtype=int), rows, rhs)
+    cap = len(rows) + _HEADROOM
+    buf = np.zeros((cap + 1, n + cap + 2))
+    buf[0, n + 1] = 1.0  # costs: 0 on u, 1 on eps
+    buf, basis = _append_rows(buf, np.zeros(0, dtype=int), rows, rhs)
     remaining = np.arange(len(A))
     stats = LazyStats()
     pivots = 0
     while True:
+        T = buf[:len(basis) + 1]
         status, pivots = _dual_iterate(T, basis, max_pivots, pivots)
         stats.outer_iterations += 1
         if status != OPTIMAL:
             break
-        z = np.zeros(T.shape[1] - 1)
-        z[basis] = np.maximum(T[:-1, -1], 0.0)
-        eps = z[n]
-        x = seed + z[:n] - eps
+        z = np.zeros(T.shape[1])  # by tableau column: z[1:n + 1] is u, z[n + 1] eps
+        z[basis] = np.maximum(T[1:, 0], 0.0)
+        eps = z[n + 1]
+        x = seed + z[1:n + 1] - eps
         hit = A[remaining] @ x + b[remaining] < -FEAS_TOL
         if not hit.any():
             break
         violated = remaining[hit]
-        T, basis = _append_rows(T, basis, *_shifted_rows(seed, A[violated], b[violated]))
+        buf, basis = _append_rows(buf, basis, *_shifted_rows(seed, A[violated], b[violated]))
         remaining = remaining[~hit]
         stats.constraints_added += len(violated)
     stats.total_pivots = pivots
-    stats.final_active_count = T.shape[0] - 1
+    stats.final_active_count = len(basis)
     stats.wall_time = time.perf_counter() - start
     if status == OPTIMAL:
         return LPSolution(OPTIMAL, np.append(x, eps), float(eps), pivots), stats

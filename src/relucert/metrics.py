@@ -52,8 +52,8 @@ def compute_stats(rhos, epsilon: float) -> RobustnessStats:
     rhos = list(rhos)
     if not rhos:
         raise ValueError("no records")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be finite and positive")
     below = [r for r in rhos if r <= epsilon]
     # the true mean of values in [0, epsilon] stays in that interval; clamp
     # away the final ulp of float summation so the invariant holds exactly

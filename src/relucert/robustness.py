@@ -5,8 +5,9 @@ minimize the L-infinity perturbation radius subject to the piece's halfspaces
 (lazily enforced) and the constraints making a target label win. The result
 overapproximates the true pointwise robustness because any feasible point of
 the restricted program is a genuine adversarial example. Over several target
-labels, a target whose lower bound (rho_lower_bound) shows it cannot beat the
-best radius so far is not solved.
+labels, a target whose lower bound (rho_lower_bound, computed for all of them
+at once by target_lower_bounds) shows it cannot beat the best radius so far is
+not solved.
 """
 
 from __future__ import annotations
@@ -91,6 +92,21 @@ def rho_lower_bound(seed, G, h) -> float:
         return float(np.max(gap[violated] / norm[violated], initial=0.0))
 
 
+def target_lower_bounds(region, seed, targets, margin: float = 0.0) -> np.ndarray:
+    """rho_lower_bound(seed, *output_constraints(region, t, margin)) for each
+    label t in targets, in one pass over the region's logits l at the seed
+    (L x L for every target): target t's row against label j is violated by
+    gap_tj = l_j - l_t + margin and has 1-norm ||W_t - W_j||_1."""
+    targets = np.asarray(targets, dtype=int)
+    W = region.logits.coeffs
+    logits = W @ seed + region.logits.bias
+    gap = logits[None, :] - logits[targets, None] + margin
+    norm = np.abs(W[targets, None, :] - W[None, :, :]).sum(axis=2)
+    violated = (gap > 0) & (targets[:, None] != np.arange(len(logits)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(violated, gap / norm, 0.0).max(axis=1, initial=0.0)
+
+
 def pointwise_robustness(net: Network, seed, targets="second", margin: float = 0.0,
                          respect_domain: bool = False, seed_index: int = -1) -> RobustnessRecord:
     """Minimal L-infinity radius to an adversarial example inside the seed's region.
@@ -98,7 +114,7 @@ def pointwise_robustness(net: Network, seed, targets="second", margin: float = 0
     targets: "second" (the runner-up label), "all" (minimum over every other
     label), or a fixed label index. A larger margin never shrinks the result.
 
-    The targets are solved in ascending order of (rho_lower_bound, target),
+    The targets are solved in ascending order of (target_lower_bounds, target),
     and the loop stops at the first target whose bound exceeds the best rho
     so far by more than a relative 1e-9: that target and every later one has
     a larger rho, so none of them can be the minimum. A smaller rho wins and
@@ -129,14 +145,15 @@ def pointwise_robustness(net: Network, seed, targets="second", margin: float = 0
 
     domain = net.input_domain if respect_domain else None
     region = extract_region(net, seed)
-    rows = {t: output_constraints(region, t, margin) for t in candidates}
-    order = sorted((rho_lower_bound(seed, *rows[t]), t) for t in candidates)
+    bounds = target_lower_bounds(region, seed, candidates, margin)
+    order = sorted(zip(bounds.tolist(), candidates))
     best = RobustnessRecord(seed_index, label, candidates[0] if len(candidates) == 1 else None,
                             INFINITE_RHO)
     for bound, target in order:
         if bound > best.rho_hat + 1e-9 * (1.0 + best.rho_hat):
             break
-        solution, stats = lazy_solve(seed, region.constraints, region.bias, *rows[target], domain)
+        G, h = output_constraints(region, target, margin)
+        solution, stats = lazy_solve(seed, region.constraints, region.bias, G, h, domain)
         if solution.status == INFEASIBLE:
             continue
         if solution.status != OPTIMAL:

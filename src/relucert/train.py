@@ -5,6 +5,7 @@ generated adversarial examples."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,8 +27,10 @@ class TrainConfig:
     rounds: int = 1
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
+        if not 0 <= self.finetune_lr_scale < math.inf:
+            raise ValueError("finetune_lr_scale must be finite and >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:

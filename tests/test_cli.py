@@ -326,6 +326,9 @@ def test_usage_error_exit_code():
     ("finetune", "--epochs", "-5"), ("finetune", "--epochs", "0"),
     ("finetune", "--batch-size", "-1"), ("finetune", "--batch-size", "0"),
     ("finetune", "--rounds", "0"), ("exact", "--max-sites", "-1"),
+    ("finetune", "--lr", "nan"), ("finetune", "--lr", "-0.1"), ("finetune", "--lr", "inf"),
+    ("finetune", "--lr-scale", "-1"), ("finetune", "--lr-scale", "nan"),
+    ("finetune", "--fgsm-eps", "nan"), ("finetune", "--fgsm-eps", "-0.5"),
 ])
 def test_bad_numeric_flags_are_usage_errors(tmp_path, trap_model, capsys,
                                             command, flag, value):
@@ -337,6 +340,15 @@ def test_bad_numeric_flags_are_usage_errors(tmp_path, trap_model, capsys,
     assert main(argv) == 1
     assert f"argument {flag}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "x"])
+def test_stats_bad_eps_is_a_usage_error(tmp_path, capsys, value):
+    records = tmp_path / "r.jsonl"
+    records.write_text('{"index": 0, "rho": 0.5}\n')
+    assert main(["stats", "--records", str(records), f"--eps={value}"]) == 1
+    captured = capsys.readouterr()
+    assert "argument --eps" in captured.err and captured.out == ""
 
 
 def test_io_error_exit_code(tmp_path, capsys):

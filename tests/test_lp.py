@@ -371,11 +371,68 @@ def test_lazy_with_the_seed_outside_the_domain():
             assert sol.z[:-1].min() >= -1e-9 and sol.z[:-1].max() <= 1.0 + 1e-9
 
 
+def test_lazy_domain_binding_on_several_coordinates():
+    """The output row g . x >= 3.93 needs 1.0 more than the seed gives. Without
+    the domain every coordinate moves 0.2, which takes the first three out of
+    [0, 1]: their domain rows are cut in, and they stop on a bound after 0.02,
+    0.02 and 0.03. The other two would then move 0.465, which violates the
+    region row x3 <= 0.95; with it cut in, x4 moves 0.48. The region row
+    x3 - x4 + 0.5 >= 0 never binds."""
+    pytest.importorskip("scipy.optimize")
+    seed = np.array([0.98, 0.02, 0.97, 0.5, 0.5])
+    G, h = np.array([[1.0, -1.0, 1.0, 1.0, 1.0]]), np.array([-3.93])
+    A = np.array([[0.0, 0.0, 0.0, 1.0, -1.0], [0.0, 0.0, 0.0, -1.0, 0.0]])
+    b = np.array([0.5, 0.95])
+    sol, stats = lazy_solve(seed, A, b, G, h, (0.0, 1.0))
+    assert sol.status == "optimal"
+    assert sol.objective_value == pytest.approx(0.48, abs=1e-12)
+    assert sol.z[:-1] == pytest.approx([1.0, 0.0, 1.0, 0.95, 0.98], abs=1e-12)
+    assert sol.objective_value == pytest.approx(highs_min_eps(seed, A, b, G, h, (0.0, 1.0)),
+                                                abs=1e-9)
+    assert stats.outer_iterations == 3
+    assert stats.constraints_added == 3 + 1  # domain cuts, then the region cut
+    assert stats.final_active_count == 5 + 1 + 4  # box rows, output row, cuts
+
+
+def _growth_instance():
+    """Seed 0, output row x0 >= 1 and _HEADROOM + 8 pool rows
+    x0 + a_k x1 >= 1 + c_k with a_k >= 0 and c_k > 0, all violated at the first
+    optimum (x0 = 1, x1 <= 0): one batch of cuts larger than the tableau's
+    headroom."""
+    rng = np.random.default_rng(241)
+    k = lp._HEADROOM + 8
+    A = np.column_stack([np.ones(k), rng.uniform(0.0, 1.0, size=k)])
+    b = -1.0 - rng.uniform(0.01, 0.5, size=k)
+    return np.zeros(2), A, b, np.array([[1.0, 0.0]]), np.array([-1.0])
+
+
+def test_lazy_cut_batch_larger_than_the_headroom_grows_the_tableau(monkeypatch):
+    pytest.importorskip("scipy.optimize")
+    seed, A, b, G, h = _growth_instance()
+    real, capacities = lp._append_rows, []
+
+    def spy(buf, basis, rows, rhs):
+        buf, basis = real(buf, basis, rows, rhs)
+        capacities.append(buf.shape[0] - 1)
+        return buf, basis
+
+    monkeypatch.setattr(lp, "_append_rows", spy)
+    sol, stats = lazy_solve(seed, A, b, G, h)
+    assert stats.outer_iterations == 2 and stats.constraints_added == len(A)
+    assert capacities[0] == 3 + lp._HEADROOM and capacities[1] > capacities[0]
+    assert stats.final_active_count == 2 + 1 + len(A)
+    assert sol.status == "optimal"
+    assert sol.objective_value == pytest.approx(highs_min_eps(seed, A, b, G, h), abs=1e-9)
+    eager = simplex_solve(_eager_problem(seed, A, b, G, h))
+    assert sol.objective_value == pytest.approx(eager.objective_value, abs=1e-9)
+
+
 def test_lazy_is_deterministic():
     rng = np.random.default_rng(227)
-    for _ in range(10):
-        args = _random_certification_instance(rng, (4, 10, 10, 3), (0.0, 1.0))
-        (sol1, st1), (sol2, st2) = (lazy_solve(*args, (0.0, 1.0)) for _ in range(2))
+    instances = [_random_certification_instance(rng, (4, 10, 10, 3), (0.0, 1.0)) + ((0.0, 1.0),)
+                 for _ in range(10)]
+    for args in instances + [_growth_instance()]:
+        (sol1, st1), (sol2, st2) = (lazy_solve(*args) for _ in range(2))
         assert sol1.status == sol2.status and sol1.pivots == sol2.pivots
         assert (sol1.z is None) == (sol2.z is None)
         if sol1.z is not None:

@@ -30,8 +30,9 @@ def test_stats_threshold_is_inclusive():
 def test_stats_rejects_empty_and_bad_epsilon():
     with pytest.raises(ValueError):
         compute_stats([], 20.0)
-    with pytest.raises(ValueError):
-        compute_stats([1.0], 0.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            compute_stats([1.0], bad)
 
 
 def test_curve_step_points():

@@ -11,7 +11,7 @@ from relucert import (Dense, LPSolution, Network, SimplexError, classify,
                       pointwise_robustness, record_from_json, record_to_json,
                       verify_record)
 from relucert.lp import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, LazyStats
-from relucert.robustness import RobustnessRecord, rho_lower_bound
+from relucert.robustness import RobustnessRecord, rho_lower_bound, target_lower_bounds
 from helpers import highs_min_eps, naive_forward, random_dense_relu_net
 
 DATA = Path(__file__).parent / "data"
@@ -334,6 +334,32 @@ def test_rho_lower_bound_is_exact_for_one_row():
                                                             abs=1e-9)
     # the row shifted so that the seed meets it gives no bound
     assert rho_lower_bound(seed, g, -h - 2 * g @ seed) == 0.0
+
+
+def test_target_lower_bounds_equal_the_per_target_bound():
+    """The one L x L pass over the logits gives every label the bound of its
+    own output rows, on random nets and margins; duplicated logit rows give
+    all-zero output rows, which a positive margin violates (+inf)."""
+    rng = np.random.default_rng(263)
+    infinite = 0
+    for trial in range(80):
+        dims = [int(rng.integers(1, 6)), int(rng.integers(2, 8)), int(rng.integers(2, 7))]
+        net = random_dense_relu_net(rng, dims)
+        if trial % 4 == 0:
+            last = net.layers[-1]
+            last.weights[-1], last.bias[-1] = last.weights[0], last.bias[0]
+        seed = rng.normal(size=dims[0])
+        margin = float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+        region = extract_region(net, seed)
+        labels = list(range(dims[-1]))
+        bounds = target_lower_bounds(region, seed, labels, margin)
+        assert bounds.shape == (dims[-1],)
+        for t in labels:
+            ref = rho_lower_bound(seed, *output_constraints(region, t, margin))
+            assert bounds[t] == pytest.approx(ref, rel=1e-9, abs=1e-12)
+            assert target_lower_bounds(region, seed, [t], margin)[0] == bounds[t]
+            infinite += ref == math.inf
+    assert infinite >= 5
 
 
 def _solve_every_target(net, seed, margin, respect_domain, seed_index):

@@ -49,6 +49,16 @@ def test_config_rejects_counts_that_train_nothing(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", float("nan")), ("learning_rate", float("inf")), ("learning_rate", -0.1),
+    ("finetune_lr_scale", -1.0), ("finetune_lr_scale", float("nan")),
+    ("finetune_lr_scale", float("inf")),
+])
+def test_config_rejects_bad_rates(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+        TrainConfig(**{field: value})
+
+
 def _numeric_gradient(net, X, y, get, set_, shape, step=1e-5):
     grad = np.zeros(shape)
     it = np.nditer(grad, flags=["multi_index"])
