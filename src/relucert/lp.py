@@ -3,25 +3,34 @@ generic two-phase simplex kept as the independent reference.
 
 lazy_solve minimizes eps = ||x - seed||_inf over output rows, region rows
 and an optional input domain, with a dual simplex on the shifted variables
-z = (u, eps) >= 0, x = seed + u - eps * 1. Every row is a . z <= r:
+z = (u, eps) >= 0, x = seed + s * (u - eps * 1), where the orientation s is
++-1 per coordinate. Every row is a . z <= r:
 
 - box rows u_i - 2 eps <= 0 (u_i >= 0 is the other side of |x_i - seed_i| <= eps);
 - output rows, region rows A x + b >= 0 and the domain rows x_i - lo >= 0 and
   hi - x_i >= 0, scaled to unit max coefficient, as
-  -A u + (A 1) eps <= A seed + b.
+  -(A s) u + (A s 1) eps <= A seed + b, with A s the columns of A times s.
 
-The tableau starts with the box rows and the output rows. At the seed every
-rhs but the output rows' is >= 0. The costs are 0 on u and 1 on eps, so the
-all-slack basis is dual feasible and no phase 1 is needed. The leaving row is
-the most infeasible one; the entering column has the min ratio of reduced
-cost to |pivot|, ties going to the largest |pivot|. After _STALL_PIVOTS
-pivots in a row that do not raise the objective, Bland's dual rule (smallest
-basic index leaves, smallest column index enters) takes over until one does,
-so the solve cannot cycle. The region and domain rows form a pool: those the
-optimum violates are appended as cuts, each on a new slack and reduced by the
-current basis, and the dual simplex resumes from that basis, which is still
-dual feasible (a cut only adds a basic slack, even one with rhs < 0, as for a
-seed outside the domain).
+The orientation is s = -sign(G_j) (+1 where G_j is 0) for the output row j
+with the largest gap_j / ||G_j||_1, gap_j = -(G_j seed + h_j): the row of
+the Hoelder bound. At u = 0 the point x = seed - s eps moves every coordinate
+the way that raises G_j x, so the all-slack start lies on that row's Hoelder
+vertex, and one pivot on eps reaches it. The costs are 0 on u and 1 on eps,
+so the all-slack basis is dual feasible and no phase 1 is needed.
+
+The tableau starts with the output rows only. The leaving row is the most
+infeasible one; the entering column has the min ratio of reduced cost to
+|pivot|, ties going to the largest |pivot|. After _STALL_PIVOTS pivots in a
+row that do not raise the objective, Bland's dual rule (smallest basic index
+leaves, smallest column index enters) takes over until one does, so the
+solve cannot cycle. Everything else is a cut: after each optimum, the
+region and domain rows it violates by more than FEAS_TOL, and the box row of
+every coordinate with u_i > 2 eps, are appended, each on a new slack and
+reduced by the current basis, and the dual simplex resumes from that basis,
+which is still dual feasible (a cut only adds a basic slack, even one with
+rhs < 0, as for a seed outside the domain). With this orientation almost
+every coordinate ends at u_i = 0, where its box row is slack, so few box
+rows are ever cut in. Each row enters at most once, so the loop ends.
 
 The tableau is held in one buffer: row 0 is the objective, column 0 the rhs,
 then the columns of u, eps and one slack per row of the buffer's capacity.
@@ -121,8 +130,8 @@ class LPSolution:
 @dataclass
 class LazyStats:
     """Diagnostics of one lazy_solve: dual simplex runs (one plus one per
-    batch of cuts), region and domain rows added as cuts, rows of the final
-    tableau (box rows, output rows and cuts), and pivots over all runs."""
+    batch of cuts), region, domain and box rows added as cuts, rows of the
+    final tableau (output rows and cuts), and pivots over all runs."""
 
     outer_iterations: int = 0
     constraints_added: int = 0
@@ -308,11 +317,25 @@ def scaled_constraints(A, b, num_vars: int) -> list[LinearConstraint]:
     return [LinearConstraint(row, ">=", r) for row, r in zip(a, -b_unit)]
 
 
-def _shifted_rows(seed, A, b):
-    """Rows A x + b >= 0, unit-scaled, as a . z <= r over z = (u, eps) with
-    x = seed + u - eps: -A' u + (A' 1) eps <= A' seed + b'."""
+def _shifted_rows(seed, sigma, A, b):
+    """Rows A x + b >= 0, unit-scaled to A' x + b' >= 0, as a . z <= r over
+    z = (u, eps) with x = seed + sigma * (u - eps):
+    -(A' sigma) u + (A' sigma 1) eps <= A' seed + b'."""
     a, c = _unit_rows(A, b)
-    return np.hstack([-a, a.sum(axis=1, keepdims=True)]), a @ seed + c
+    oriented = a * sigma
+    return np.hstack([-oriented, oriented.sum(axis=1, keepdims=True)]), a @ seed + c
+
+
+def _orientation(seed, G, h):
+    """-sign(G_j), with +1 where G_j is 0, for the output row j with the
+    largest gap_j / ||G_j||_1 (rows with ||G_j||_1 = 0 last): the direction
+    in which the seed reaches that row's Hoelder vertex."""
+    if len(G) == 0:
+        return np.ones(len(seed))
+    norm = np.abs(G).sum(axis=1)
+    score = np.full(len(G), -np.inf)
+    np.divide(-(G @ seed + h), norm, out=score, where=norm > 0)
+    return np.where(G[int(score.argmax())] > 0, -1.0, 1.0)
 
 
 def _append_rows(buf, basis, rows, rhs):
@@ -378,31 +401,31 @@ def _dual_iterate(T, basis, max_pivots, pivots):
 def lazy_solve(seed, A, b, G, h, domain=None,
                max_pivots: int | None = None) -> tuple[LPSolution, LazyStats]:
     """Minimize eps = ||x - seed||_inf subject to the output rows G x + h >= 0,
-    the optional domain lo <= x <= hi, and the pool rows A x + b >= 0, the pool
-    rows and the domain rows added only as the incumbent violates them.
+    the optional domain lo <= x <= hi, and the pool rows A x + b >= 0; every
+    row but the output rows is added only once the incumbent violates it.
 
     Returns z = (x, eps) with objective_value eps. The dual simplex runs on the
-    shifted form (module docstring) from the all-slack basis; after each
-    optimum the pool rows violated at x by more than FEAS_TOL are appended as
-    cuts and the dual simplex resumes from the current basis. The working set
-    only relaxes the full program, so the final incumbent (feasible for the
-    pool) is optimal for the whole of it, and infeasibility of a working set
-    implies infeasibility of the whole. max_pivots bounds the pivots of the
-    whole solve; by default it is simplex_solve's formula for the full LP.
+    oriented shifted form (module docstring) from the all-slack basis; after
+    each optimum the pool rows violated at x by more than FEAS_TOL, and the box
+    rows with u_i > 2 eps, are appended as cuts and the dual simplex resumes
+    from the current basis. The working set only relaxes the full program, so
+    the final incumbent (feasible for the pool and the box) is optimal for the
+    whole of it, and infeasibility of a working set implies infeasibility of
+    the whole. max_pivots bounds the pivots of the whole solve; by default it
+    is simplex_solve's formula for the full LP, box rows included.
     """
     start = time.perf_counter()
     seed = np.asarray(seed, dtype=float)
     n = seed.shape[0]
-    eye = np.eye(n)
     if domain is not None:
         lo, hi = float(domain[0]), float(domain[1])
+        eye = np.eye(n)
         A = np.vstack([A, eye, -eye])
         b = np.concatenate([b, np.full(n, -lo), np.full(n, hi)])
-    out_rows, out_rhs = _shifted_rows(seed, G, h)
-    rows = np.vstack([np.hstack([eye, np.full((n, 1), -2.0)]), out_rows])
-    rhs = np.concatenate([np.zeros(n), out_rhs])
+    sigma = _orientation(seed, G, h)
+    rows, rhs = _shifted_rows(seed, sigma, G, h)
     if max_pivots is None:
-        m = len(rows) + len(A)
+        m = n + len(rows) + len(A)
         max_pivots = 10_000 + 50 * (m + n + 1 + m)
 
     cap = len(rows) + _HEADROOM
@@ -410,6 +433,7 @@ def lazy_solve(seed, A, b, G, h, domain=None,
     buf[0, n + 1] = 1.0  # costs: 0 on u, 1 on eps
     buf, basis = _append_rows(buf, np.zeros(0, dtype=int), rows, rhs)
     remaining = np.arange(len(A))
+    unboxed = np.ones(n, dtype=bool)  # coordinates whose box row is not cut in
     stats = LazyStats()
     pivots = 0
     while True:
@@ -420,15 +444,22 @@ def lazy_solve(seed, A, b, G, h, domain=None,
             break
         z = np.zeros(T.shape[1])  # by tableau column: z[1:n + 1] is u, z[n + 1] eps
         z[basis] = np.maximum(T[1:, 0], 0.0)
-        eps = z[n + 1]
-        x = seed + z[1:n + 1] - eps
+        u, eps = z[1:n + 1], z[n + 1]
+        x = seed + sigma * (u - eps)
         hit = A[remaining] @ x + b[remaining] < -FEAS_TOL
-        if not hit.any():
+        boxed = (unboxed & (u > 2.0 * eps)).nonzero()[0]
+        if not (hit.any() or len(boxed)):
             break
         violated = remaining[hit]
-        buf, basis = _append_rows(buf, basis, *_shifted_rows(seed, A[violated], b[violated]))
+        cuts, cut_rhs = _shifted_rows(seed, sigma, A[violated], b[violated])
+        box_rows = np.zeros((len(boxed), n + 1))  # u_i - 2 eps <= 0
+        box_rows[np.arange(len(boxed)), boxed] = 1.0
+        box_rows[:, n] = -2.0
+        buf, basis = _append_rows(buf, basis, np.vstack([cuts, box_rows]),
+                                  np.concatenate([cut_rhs, np.zeros(len(boxed))]))
         remaining = remaining[~hit]
-        stats.constraints_added += len(violated)
+        unboxed[boxed] = False
+        stats.constraints_added += len(violated) + len(boxed)
     stats.total_pivots = pivots
     stats.final_active_count = len(basis)
     stats.wall_time = time.perf_counter() - start

@@ -120,7 +120,9 @@ def pointwise_robustness(net: Network, seed, targets="second", margin: float = 0
     a larger rho, so none of them can be the minimum. A smaller rho wins and
     an equal rho goes to the lower target, so the record (rho, target,
     witness, lazy stats) is the one that solving every target in label order
-    and keeping the strict minimum gives.
+    and keeping the strict minimum gives. A found record carries the winning
+    solve's lazy stats; a record that finds nothing carries the sums over the
+    solves it made (the largest final_active_count among them).
 
     Raises SimplexError when a solved target stops short of optimal or
     infeasible, e.g. at the iteration limit; a skipped target is never solved.
@@ -149,11 +151,13 @@ def pointwise_robustness(net: Network, seed, targets="second", margin: float = 0
     order = sorted(zip(bounds.tolist(), candidates))
     best = RobustnessRecord(seed_index, label, candidates[0] if len(candidates) == 1 else None,
                             INFINITE_RHO)
+    solved = []
     for bound, target in order:
         if bound > best.rho_hat + 1e-9 * (1.0 + best.rho_hat):
             break
         G, h = output_constraints(region, target, margin)
         solution, stats = lazy_solve(seed, region.constraints, region.bias, G, h, domain)
+        solved.append(stats)
         if solution.status == INFEASIBLE:
             continue
         if solution.status != OPTIMAL:
@@ -164,6 +168,13 @@ def pointwise_robustness(net: Network, seed, targets="second", margin: float = 0
                                     adversarial=solution.z[: net.input_dim], lazy=stats)
     if best.found:
         best.flips = bool(classify(net, best.adversarial) != label)
+    else:
+        best.lazy = LazyStats(
+            outer_iterations=sum(s.outer_iterations for s in solved),
+            constraints_added=sum(s.constraints_added for s in solved),
+            final_active_count=max(s.final_active_count for s in solved),
+            total_pivots=sum(s.total_pivots for s in solved),
+            wall_time=sum(s.wall_time for s in solved))
     return best
 
 

@@ -5,6 +5,7 @@ from relucert import (LPProblem, SimplexError, extract_region, lazy_solve,
                       linf_box_problem, output_constraints, second_label, simplex_solve)
 from relucert import lp
 from relucert.lp import scaled_constraints
+from relucert.robustness import rho_lower_bound
 from helpers import highs_min_eps, random_dense_relu_net
 
 
@@ -294,6 +295,79 @@ def test_lazy_empty_pool_equals_plain_solve():
     assert stats.constraints_added == 0
 
 
+def test_lazy_single_output_row_is_one_pivot_to_the_hoelder_vertex():
+    """The oriented start moves every coordinate the way the row's signs
+    point, so one pivot on eps reaches the row's Hoelder vertex, which is the
+    optimum when the pool is empty: rho equals rho_lower_bound, and no box
+    row is cut in (u = 0)."""
+    rng = np.random.default_rng(251)
+    for _ in range(20):
+        n = int(rng.integers(1, 8))
+        seed = rng.normal(size=n)
+        g = rng.normal(size=(1, n)) * (rng.random(n) < 0.7)
+        g[0, 0] = rng.choice([-1.0, 1.0]) * (0.1 + rng.random())  # a nonzero row
+        h = -g @ seed - rng.uniform(0.1, 2.0, size=1)
+        sol, stats = lazy_solve(seed, np.zeros((0, n)), np.zeros(0), g, h)
+        assert sol.status == "optimal"
+        assert sol.objective_value == pytest.approx(rho_lower_bound(seed, g, h), abs=1e-12)
+        assert sol.pivots == stats.total_pivots == 1
+        assert stats.outer_iterations == 1 and stats.constraints_added == 0
+        assert stats.final_active_count == 1
+
+
+def test_lazy_box_cut_for_a_coordinate_pushed_against_its_orientation(monkeypatch):
+    """Seed 0, output row x0 + 0.1 x1 >= 1 (both coordinates start upward) and
+    region row x0 - x1 >= 3, which pushes x1 down. With x1's box row out of
+    the tableau, the second optimum takes eps = 13/11 and x1 = eps - 3 below
+    -eps; x1's box row is cut in, and the third run ends at eps = 1.5,
+    x = (1.5, -1.5)."""
+    pytest.importorskip("scipy.optimize")
+    seed, G, h = np.zeros(2), np.array([[1.0, 0.1]]), np.array([-1.0])
+    A, b = np.array([[1.0, -1.0]]), np.array([-3.0])
+    real, appended = lp._append_rows, []
+
+    def spy(buf, basis, rows, rhs):
+        appended.append((rows.copy(), rhs.copy()))
+        return real(buf, basis, rows, rhs)
+
+    monkeypatch.setattr(lp, "_append_rows", spy)
+    sol, stats = lazy_solve(seed, A, b, G, h)
+    assert sol.status == "optimal"
+    assert sol.objective_value == pytest.approx(1.5, abs=1e-12)
+    assert sol.z[:-1] == pytest.approx([1.5, -1.5], abs=1e-12)
+    assert sol.objective_value == pytest.approx(highs_min_eps(seed, A, b, G, h), abs=1e-9)
+    # the output row, the region cut, then the box row u_1 - 2 eps <= 0
+    assert len(appended) == 3
+    assert appended[2][0].tolist() == [[0.0, 1.0, -2.0]] and appended[2][1].tolist() == [0.0]
+    assert stats.outer_iterations == 3
+    assert stats.constraints_added == 1 + 1  # region cut, box cut
+    assert stats.final_active_count == 1 + 2
+
+
+def _mnist_sized_instance(domain):
+    """A random 784-100-100-10 net on [0, 1] at its third random point, with
+    the runner-up target: (seed, A, b, G, h, domain)."""
+    rng = np.random.default_rng(784)
+    net = random_dense_relu_net(rng, [784, 100, 100, 10], domain=(0.0, 1.0))
+    seed = rng.uniform(0.0, 1.0, size=(3, 784))[2]
+    region = extract_region(net, seed)
+    G, h = output_constraints(region, second_label(net, seed))
+    return seed, region.constraints, region.bias, G, h, domain
+
+
+@pytest.mark.parametrize("domain", [None, (0.0, 1.0)])
+def test_lazy_on_784_inputs_keeps_the_tableau_small(domain):
+    """At n = 784 the box rows stay out of the tableau: the final one holds
+    the 9 output rows and a few dozen cuts."""
+    pytest.importorskip("scipy.optimize")
+    args = _mnist_sized_instance(domain)
+    sol, stats = lazy_solve(*args)
+    assert sol.status == "optimal"
+    assert sol.objective_value == pytest.approx(highs_min_eps(*args), abs=1e-6)
+    assert stats.final_active_count <= 100
+    assert stats.total_pivots <= 200
+
+
 def test_lazy_matches_eager_on_random_instances():
     rng = np.random.default_rng(71)
     solved = 0
@@ -391,7 +465,10 @@ def test_lazy_domain_binding_on_several_coordinates():
                                                 abs=1e-9)
     assert stats.outer_iterations == 3
     assert stats.constraints_added == 3 + 1  # domain cuts, then the region cut
-    assert stats.final_active_count == 5 + 1 + 4  # box rows, output row, cuts
+    # the output row and the four cuts: every coordinate moves the way the
+    # output row's signs point, so u_i = eps - |x_i - seed_i| <= eps at every
+    # optimum and no box row is cut in
+    assert stats.final_active_count == 1 + 4
 
 
 def _growth_instance():
@@ -418,9 +495,14 @@ def test_lazy_cut_batch_larger_than_the_headroom_grows_the_tableau(monkeypatch):
 
     monkeypatch.setattr(lp, "_append_rows", spy)
     sol, stats = lazy_solve(seed, A, b, G, h)
-    assert stats.outer_iterations == 2 and stats.constraints_added == len(A)
-    assert capacities[0] == 3 + lp._HEADROOM and capacities[1] > capacities[0]
-    assert stats.final_active_count == 2 + 1 + len(A)
+    # The first optimum (eps = 1, x = (1, -1)) violates every pool row. The
+    # pool rows alone leave u_1 free (x1 = u_1 - eps), so the second optimum
+    # keeps eps = 1 and raises u_1 above 2 eps: x1's box row is cut in and a
+    # third run ends at x1 = eps. So 3 runs and len(A) + 1 cuts; the first
+    # buffer holds the one output row plus the headroom.
+    assert stats.outer_iterations == 3 and stats.constraints_added == len(A) + 1
+    assert capacities[0] == 1 + lp._HEADROOM and capacities[1] > capacities[0]
+    assert stats.final_active_count == 1 + len(A) + 1  # output row, pool cuts, box cut
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(highs_min_eps(seed, A, b, G, h), abs=1e-9)
     eager = simplex_solve(_eager_problem(seed, A, b, G, h))
@@ -431,7 +513,7 @@ def test_lazy_is_deterministic():
     rng = np.random.default_rng(227)
     instances = [_random_certification_instance(rng, (4, 10, 10, 3), (0.0, 1.0)) + ((0.0, 1.0),)
                  for _ in range(10)]
-    for args in instances + [_growth_instance()]:
+    for args in instances + [_growth_instance(), _mnist_sized_instance((0.0, 1.0))]:
         (sol1, st1), (sol2, st2) = (lazy_solve(*args) for _ in range(2))
         assert sol1.status == sol2.status and sol1.pivots == sol2.pivots
         assert (sol1.z is None) == (sol2.z is None)

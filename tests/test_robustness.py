@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import relucert.robustness
-from relucert import (Dense, LPSolution, Network, SimplexError, classify,
+from relucert import (Dense, LPSolution, Network, Relu, SimplexError, classify,
                       exact_robustness, extract_adversarial, extract_region, forward,
                       lazy_solve, load_dataset, load_model, output_constraints,
                       pointwise_robustness, record_from_json, record_to_json,
@@ -86,6 +86,33 @@ def test_infeasible_region_reports_infinite_radius():
     assert record.rho_hat == math.inf
     assert record.adversarial is None
     assert not record.found
+
+
+def test_not_found_record_reports_the_sums_of_its_solves(monkeypatch):
+    """Seed (1, 2) of h = relu(x) with logits (1, -h_1, -h_2): target 1 needs
+    x_1 <= -1 and target 2 needs x_2 <= -1, which the region rows x >= 0 rule
+    out. Each solve takes a pivot and a cut before it proves that."""
+    net = Network([Dense(np.eye(2), np.zeros(2)), Relu(),
+                   Dense(np.array([[0.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]),
+                         np.array([1.0, 0.0, 0.0]))], 2, 3)
+    solves = []
+
+    def spy(*args, **kwargs):
+        solves.append(lazy_solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(relucert.robustness, "lazy_solve", spy)
+    record = pointwise_robustness(net, np.array([1.0, 2.0]), targets="all")
+    assert not record.found and len(solves) == 2
+    assert all(sol.status == INFEASIBLE for sol, _ in solves)
+    stats = [st for _, st in solves]
+    assert all(st.total_pivots >= 1 and st.constraints_added >= 1 for st in stats)
+    assert record.lazy.outer_iterations == sum(st.outer_iterations for st in stats)
+    assert record.lazy.constraints_added == sum(st.constraints_added for st in stats)
+    assert record.lazy.total_pivots == sum(st.total_pivots for st in stats)
+    assert record.lazy.final_active_count == max(st.final_active_count for st in stats)
+    assert record.lazy.wall_time == sum(st.wall_time for st in stats) > 0.0
+    assert record_to_json(record)["timing"]["wall_time"] == record.lazy.wall_time
 
 
 def test_overapproximates_exact():
@@ -364,16 +391,20 @@ def test_target_lower_bounds_equal_the_per_target_bound():
 
 def _solve_every_target(net, seed, margin, respect_domain, seed_index):
     """Every other label solved in label order, the strict minimum kept (so a
-    tie goes to the lower label): the record that target skipping must keep."""
+    tie goes to the lower label): the record that target skipping must keep.
+    Nothing is skipped when nothing is found, so a not-found record carries
+    the sums over every target's solve."""
     label = classify(net, seed)
     region = extract_region(net, seed)
     domain = net.input_domain if respect_domain else None
     best = RobustnessRecord(seed_index, label, None, math.inf)
+    spent = []
     for target in range(net.num_labels):
         if target == label:
             continue
         G, h = output_constraints(region, target, margin)
         solution, stats = lazy_solve(seed, region.constraints, region.bias, G, h, domain)
+        spent.append(stats.to_json())
         if solution.status == INFEASIBLE:
             continue
         assert solution.status == OPTIMAL
@@ -383,6 +414,9 @@ def _solve_every_target(net, seed, margin, respect_domain, seed_index):
                                     adversarial=solution.z[: net.input_dim], lazy=stats)
     if best.found:
         best.flips = bool(classify(net, best.adversarial) != label)
+    else:
+        best.lazy = LazyStats(**{key: (max if key == "final_active_count" else sum)(
+            s[key] for s in spent) for key in spent[0]})
     return best
 
 
