@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 from .affine import AffineVector, affine_dense, maxpool_fix, relu_fix
 from .encoder import (DisjunctiveEncoding, LinearRegion, build_disjunctive,
                       extract_region, output_constraints)
-from .lp import (LazyStats, LinearConstraint, LPProblem, LPSolution, SimplexError,
-                 lazy_solve, linf_box_problem, simplex_solve)
+from .lp import LazyStats, LPSolution, SimplexError, lazy_solve
 from .metrics import RobustnessCurve, RobustnessStats, compute_curve, compute_stats
 from .model import (Conv, DatasetError, Dense, LabeledPoint, MaxPool, ModelError,
                     Network, Relu, classify, forward, forward_batch, load_dataset,

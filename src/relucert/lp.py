@@ -1,5 +1,5 @@
-"""Linear programs: the min-epsilon solver that certification uses, and a
-generic two-phase simplex kept as the independent reference.
+"""Linear programs: lazy_solve, the package's min-epsilon solver, and a
+generic two-phase simplex that nothing in the package calls.
 
 lazy_solve minimizes eps = ||x - seed||_inf over output rows, region rows
 and an optional input domain, with a dual simplex on the shifted variables
@@ -42,9 +42,11 @@ initial ones; cuts are written into it in place, and when a batch does not
 fit the row capacity doubles (or grows to fit the batch) and the tableau is
 copied over once.
 
-simplex_solve is a dense two-phase primal simplex with Bland's rule
-(smallest index enters; min-ratio ties broken by smallest basic index), so
-runs are deterministic and cycling-free. Its tableau is built from arrays:
+simplex_solve and its generic form (LPProblem, LinearConstraint,
+linf_box_problem, scaled_constraints) stay only because the benchmark harness
+in perfbench/ names them. It is a dense two-phase primal simplex with Bland's
+rule (smallest index enters; min-ratio ties broken by smallest basic index),
+so runs are deterministic and cycling-free. Its tableau is built from arrays:
 the constraints and the bound rows are stacked into a row matrix, an rhs
 vector and a sense vector (+1 '<=', -1 '>=', 0 '='), and rows with rhs < 0
 are negated, which flips their sense. Columns are the free split
@@ -78,8 +80,8 @@ ITERATION_LIMIT = "iteration_limit"
 
 
 class SimplexError(RuntimeError):
-    """Internal solver failure (e.g. an unbounded program, which certification
-    LPs can never produce because the objective is a nonnegative epsilon)."""
+    """A stop that proves nothing: lazy_solve's iteration limit, or an unbounded
+    program in the generic simplex (a min-epsilon LP cannot be, as eps >= 0)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,6 +371,8 @@ def _dual_iterate(T, basis, max_pivots, pivots):
     rhs column 0, basis[i] the basic column of row i + 1) until primal feasible
     (optimal), a row proves infeasibility, or the pivot limit."""
     cost, rhs = T[0, 1:], T[1:, 0]
+    if rhs.size == 0:  # no rows: the all-slack start is optimal
+        return OPTIMAL, pivots
     stall = 0
     while True:
         leave = int(rhs.argmin())  # the first most infeasible row
@@ -411,8 +415,10 @@ def lazy_solve(seed, A, b, G, h, domain=None,
     from the current basis. The working set only relaxes the full program, so
     the final incumbent (feasible for the pool and the box) is optimal for the
     whole of it, and infeasibility of a working set implies infeasibility of
-    the whole. max_pivots bounds the pivots of the whole solve; by default it
-    is simplex_solve's formula for the full LP, box rows included.
+    the whole. With no output rows the start is optimal at the seed, and the
+    solve is finite exactly when the pool and domain rows admit a point.
+    max_pivots bounds the pivots of the whole solve; by default it is
+    10000 + 50 (2m + n + 1) with m = n + output + pool + domain rows.
     """
     start = time.perf_counter()
     seed = np.asarray(seed, dtype=float)

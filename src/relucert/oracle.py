@@ -2,9 +2,10 @@
 
 exact_robustness enumerates every activation pattern of the disjunctive
 encoding and minimizes the perturbation radius per pattern and target label,
-so it realizes the unrestricted definition up to LP tolerance. grid_robustness
-is an independent brute-force upper bound for low-dimensional inputs. Both
-exist to sandwich the LP estimate in tests.
+so it realizes the unrestricted definition up to LP tolerance. It solves with
+lazy_solve from the seed, which may lie outside the pattern's region.
+grid_robustness is an independent brute-force upper bound for
+low-dimensional inputs. Both exist to sandwich the LP estimate in tests.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import build_disjunctive, output_constraints
-from .lp import (INFEASIBLE, OPTIMAL, LPProblem, SimplexError, linf_box_problem,
-                 scaled_constraints, simplex_solve)
+from .lp import INFEASIBLE, OPTIMAL, SimplexError, lazy_solve
 from .model import Network, classify, forward_batch
 
 _GRID_CHUNK = 1 << 16
@@ -39,27 +39,24 @@ def _solved(solution, what):
     return solution.status == OPTIMAL
 
 
-def _signs_feasible(region) -> bool:
-    n = region.logits.num_inputs
-    problem = LPProblem(n, np.zeros(n),
-                        scaled_constraints(region.constraints, region.bias, n))
-    return _solved(simplex_solve(problem), "pattern feasibility")
+def _signs_feasible(region, seed) -> bool:
+    """Whether the region is nonempty, by its min-epsilon LP from the seed."""
+    solution, _ = lazy_solve(seed, region.constraints, region.bias,
+                             np.zeros((0, len(seed))), np.zeros(0))
+    return _solved(solution, "pattern feasibility")
 
 
-def _pattern_targets(region, targets, base_problem):
-    """Min-epsilon solves of one pattern for each target; yields optimal ones
-    and skips infeasible ones."""
-    nv = base_problem.num_vars
-    rows = (list(base_problem.constraints)
-            + scaled_constraints(region.constraints, region.bias, nv))
+def _pattern_best(region, seed, targets):
+    """(rho, witness, target) of one pattern: the first strict minimum over
+    the targets of the min-epsilon solves in the region; (inf, None, None)
+    when no target is reachable."""
+    best = (math.inf, None, None)
     for target in targets:
-        problem = LPProblem(nv, base_problem.objective,
-                            rows + scaled_constraints(*output_constraints(region, target), nv),
-                            base_problem.bounds)
-        solution = simplex_solve(problem)
-        if _solved(solution, f"target {target}"):
-            yield (target, max(solution.objective_value, 0.0),
-                   solution.z[: region.logits.num_inputs])
+        solution, _ = lazy_solve(seed, region.constraints, region.bias,
+                                 *output_constraints(region, target))
+        if _solved(solution, f"target {target}") and solution.objective_value < best[0]:
+            best = (solution.objective_value, solution.z[:-1], target)
+    return best
 
 
 def pattern_robustness(net: Network, seed, pattern, encoding=None):
@@ -69,15 +66,9 @@ def pattern_robustness(net: Network, seed, pattern, encoding=None):
     """
     seed = np.asarray(seed, dtype=float)
     encoding = encoding or build_disjunctive(net)
-    region = encoding.instantiate(pattern)
     label = classify(net, seed)
     targets = [t for t in range(net.num_labels) if t != label]
-    base = linf_box_problem(seed)
-    best = (math.inf, None, None)
-    for target, rho, witness in _pattern_targets(region, targets, base):
-        if rho < best[0]:
-            best = (rho, witness, target)
-    return best
+    return _pattern_best(encoding.instantiate(pattern), seed, targets)
 
 
 def exact_robustness(net: Network, seed, max_sites: int = 16) -> ExactResult:
@@ -95,17 +86,16 @@ def exact_robustness(net: Network, seed, max_sites: int = 16) -> ExactResult:
             f" 2**{max_sites} enumeration guard")
     label = classify(net, seed)
     targets = [t for t in range(net.num_labels) if t != label]
-    base = linf_box_problem(seed)
     feasible = 0
     best_rho, best_witness, best_pattern = math.inf, None, None
     for pattern in encoding.patterns():
         region = encoding.instantiate(pattern)
-        if not _signs_feasible(region):
+        if not _signs_feasible(region, seed):
             continue
         feasible += 1
-        for _, rho, witness in _pattern_targets(region, targets, base):
-            if rho < best_rho:
-                best_rho, best_witness, best_pattern = rho, witness, pattern
+        rho, witness, _ = _pattern_best(region, seed, targets)
+        if rho < best_rho:
+            best_rho, best_witness, best_pattern = rho, witness, pattern
     return ExactResult(best_rho, best_witness, best_pattern, feasible, total)
 
 
@@ -119,8 +109,8 @@ def grid_robustness(net: Network, seed, radius: float, resolution: float) -> flo
     n = seed.shape[0]
     if n > 3:
         raise ValueError(f"grid search limited to 3 input dims, got {n}")
-    if radius <= 0 or resolution <= 0:
-        raise ValueError("radius and resolution must be positive")
+    if not (0 < radius < math.inf and 0 < resolution < math.inf):
+        raise ValueError("radius and resolution must be positive and finite")
     label = classify(net, seed)
     steps = int(round(radius / resolution))
     offsets = np.arange(-steps, steps + 1) * resolution

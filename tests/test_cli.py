@@ -7,7 +7,7 @@ import pytest
 from relucert import (Dense, Network, SimplexError, classify, compute_stats, load_model,
                       save_model)
 from relucert import cli, oracle
-from relucert.lp import ITERATION_LIMIT, LPSolution
+from relucert.lp import ITERATION_LIMIT, LazyStats, LPSolution
 from relucert.cli import main, read_rhos
 from helpers import blobs, random_dense_relu_net
 
@@ -258,8 +258,8 @@ def test_exact_command(tmp_path, trap_model, capsys):
 
 def test_exact_command_exits_3_on_solver_stop(tmp_path, toy_setup, monkeypatch, capsys):
     _, model, data = toy_setup
-    monkeypatch.setattr(oracle, "simplex_solve",
-                        lambda problem: LPSolution(ITERATION_LIMIT, None, math.nan, 0))
+    monkeypatch.setattr(oracle, "lazy_solve", lambda *args, **kwargs: (
+        LPSolution(ITERATION_LIMIT, None, math.nan, 0), LazyStats()))
     assert main(["exact", "--model", str(model), "--data", str(data)]) == 3
     assert "solver error: iteration_limit" in capsys.readouterr().err
 

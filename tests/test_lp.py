@@ -1,10 +1,15 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
+import scipy.optimize as scipy_opt
 
-from relucert import (LPProblem, SimplexError, extract_region, lazy_solve,
-                      linf_box_problem, output_constraints, second_label, simplex_solve)
+import relucert
+from relucert import extract_region, lazy_solve, output_constraints, second_label
 from relucert import lp
-from relucert.lp import scaled_constraints
+from relucert.lp import (LPProblem, SimplexError, linf_box_problem, scaled_constraints,
+                         simplex_solve)
 from relucert.robustness import rho_lower_bound
 from helpers import highs_min_eps, random_dense_relu_net
 
@@ -285,12 +290,11 @@ _NO_POOL = (np.zeros((0, 1)), np.zeros(0))
 
 
 def test_lazy_empty_pool_equals_plain_solve():
-    # x <= -0.25 from the seed 0, as -x - 0.25 >= 0
-    plain = simplex_solve(_one_dim_flip_problem(0.25))
+    # x <= -0.25 from the seed 0, as -x - 0.25 >= 0: the optimum is x = -0.25
     sol, stats = lazy_solve(np.zeros(1), *_NO_POOL, np.array([[-1.0]]), np.array([-0.25]))
-    assert sol.status == plain.status
-    assert sol.objective_value == pytest.approx(plain.objective_value, abs=1e-12)
-    assert sol.z == pytest.approx(plain.z, abs=1e-12)
+    assert sol.status == "optimal"
+    assert sol.objective_value == pytest.approx(0.25, abs=1e-12)
+    assert sol.z == pytest.approx([-0.25, 0.25], abs=1e-12)
     assert stats.outer_iterations == 1
     assert stats.constraints_added == 0
 
@@ -321,7 +325,6 @@ def test_lazy_box_cut_for_a_coordinate_pushed_against_its_orientation(monkeypatc
     the tableau, the second optimum takes eps = 13/11 and x1 = eps - 3 below
     -eps; x1's box row is cut in, and the third run ends at eps = 1.5,
     x = (1.5, -1.5)."""
-    pytest.importorskip("scipy.optimize")
     seed, G, h = np.zeros(2), np.array([[1.0, 0.1]]), np.array([-1.0])
     A, b = np.array([[1.0, -1.0]]), np.array([-3.0])
     real, appended = lp._append_rows, []
@@ -359,7 +362,6 @@ def _mnist_sized_instance(domain):
 def test_lazy_on_784_inputs_keeps_the_tableau_small(domain):
     """At n = 784 the box rows stay out of the tableau: the final one holds
     the 9 output rows and a few dozen cuts."""
-    pytest.importorskip("scipy.optimize")
     args = _mnist_sized_instance(domain)
     sol, stats = lazy_solve(*args)
     assert sol.status == "optimal"
@@ -374,11 +376,11 @@ def test_lazy_matches_eager_on_random_instances():
     for _ in range(50):
         seed, A, b, G, h = _random_certification_instance(rng)
         lazy_sol, stats = lazy_solve(seed, A, b, G, h)
-        eager_sol = simplex_solve(_eager_problem(seed, A, b, G, h))
-        assert lazy_sol.status == eager_sol.status
-        if eager_sol.status == "optimal":
+        ref = highs_min_eps(seed, A, b, G, h)
+        assert lazy_sol.status == ("infeasible" if ref is None else "optimal")
+        if ref is not None:
             solved += 1
-            assert abs(lazy_sol.objective_value - eager_sol.objective_value) <= 1e-6
+            assert abs(lazy_sol.objective_value - ref) <= 1e-6
             assert stats.constraints_added <= len(A)
     assert solved >= 15  # enough instances admit a flip in the region
 
@@ -404,15 +406,70 @@ def test_lazy_reports_infeasible_when_full_system_is():
     assert sol.status == "infeasible"
     assert sol.z is None and sol.objective_value == float("inf")
     assert stats.outer_iterations >= 1
-    eager = _one_dim_flip_problem(1.0)
-    eager.add(np.array([1.0, 0.0]), ">=", 2.0)
-    assert simplex_solve(eager).status == "infeasible"
+    assert highs_min_eps(np.zeros(1), *_NO_POOL, G, h) is None
+
+
+def test_lazy_with_no_output_rows_finds_the_nearest_point_of_the_region():
+    """With no output rows the start is optimal at once (eps = 0 at the seed),
+    and the region rows come in as cuts: the optimum is the L-infinity
+    distance from the seed to the region, which may be far from the seed."""
+    rng = np.random.default_rng(257)
+    moved = 0
+    for _ in range(20):
+        net = random_dense_relu_net(rng, [3, 8, 3])
+        inside = rng.normal(size=3)
+        region = extract_region(net, inside)
+        A, b = region.constraints, region.bias
+        seed = inside + rng.normal(scale=2.0, size=3)
+        no_rows = (np.zeros((0, 3)), np.zeros(0))
+        sol, _ = lazy_solve(seed, A, b, *no_rows)
+        assert sol.status == "optimal"
+        assert sol.objective_value == pytest.approx(highs_min_eps(seed, A, b, *no_rows),
+                                                    abs=1e-9)
+        x = sol.z[:-1]
+        assert (A @ x + b).min(initial=0.0) >= -1e-6
+        assert np.abs(x - seed).max() <= sol.objective_value + 1e-9
+        moved += sol.objective_value > 0
+    assert moved >= 10
+
+
+def test_lazy_with_no_output_rows_proves_an_empty_region_infeasible():
+    # x1 + x2 >= 1 and x1 + x2 <= 0.5
+    A, b = np.array([[1.0, 1.0], [-1.0, -1.0]]), np.array([-1.0, 0.5])
+    sol, _ = lazy_solve(np.zeros(2), A, b, np.zeros((0, 2)), np.zeros(0))
+    assert sol.status == "infeasible"
+    assert sol.z is None and sol.objective_value == float("inf")
+
+
+def test_lazy_with_no_rows_at_all_stays_at_the_seed():
+    seed = np.array([0.3, -1.2, 4.0])
+    none = (np.zeros((0, 3)), np.zeros(0))
+    sol, stats = lazy_solve(seed, *none, *none)
+    assert sol.status == "optimal"
+    assert sol.objective_value == 0.0
+    assert sol.z.tolist() == [0.3, -1.2, 4.0, 0.0]
+    assert sol.pivots == stats.total_pivots == 0
+    assert stats.outer_iterations == 1 and stats.final_active_count == 0
+
+
+def test_the_package_has_one_solver():
+    """lazy_solve is the package's solver: the generic LP form stays in
+    relucert.lp only, out of the package namespace and every other module."""
+    generic = {"simplex_solve", "LPProblem", "LinearConstraint", "linf_box_problem",
+               "scaled_constraints"}
+    assert not generic & set(dir(relucert))
+    names = [info.name for info in pkgutil.iter_modules(relucert.__path__)]
+    assert "lp" in names and "oracle" in names
+    for name in names:
+        if name in ("lp", "__main__"):  # __main__ runs the command line on import
+            continue
+        module = importlib.import_module(f"relucert.{name}")
+        assert not [g for g in generic if hasattr(module, g)], name
 
 
 @pytest.mark.parametrize("domain, margin", [(None, 0.0), ((0.0, 1.0), 0.0),
                                             (None, 0.5), ((0.0, 1.0), 0.3)])
 def test_lazy_agrees_with_highs(domain, margin):
-    pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(211)
     outcomes = {"found": 0, "infeasible": 0}
     for _ in range(40):
@@ -432,7 +489,6 @@ def test_lazy_agrees_with_highs(domain, margin):
 
 def test_lazy_with_the_seed_outside_the_domain():
     # domain rows start with a negative rhs here; the start stays dual feasible
-    pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(223)
     for _ in range(20):
         seed, A, b, G, h = _random_certification_instance(rng, (3, 8, 3), (-0.5, 1.5))
@@ -452,7 +508,6 @@ def test_lazy_domain_binding_on_several_coordinates():
     0.02 and 0.03. The other two would then move 0.465, which violates the
     region row x3 <= 0.95; with it cut in, x4 moves 0.48. The region row
     x3 - x4 + 0.5 >= 0 never binds."""
-    pytest.importorskip("scipy.optimize")
     seed = np.array([0.98, 0.02, 0.97, 0.5, 0.5])
     G, h = np.array([[1.0, -1.0, 1.0, 1.0, 1.0]]), np.array([-3.93])
     A = np.array([[0.0, 0.0, 0.0, 1.0, -1.0], [0.0, 0.0, 0.0, -1.0, 0.0]])
@@ -484,7 +539,6 @@ def _growth_instance():
 
 
 def test_lazy_cut_batch_larger_than_the_headroom_grows_the_tableau(monkeypatch):
-    pytest.importorskip("scipy.optimize")
     seed, A, b, G, h = _growth_instance()
     real, capacities = lp._append_rows, []
 
@@ -505,8 +559,6 @@ def test_lazy_cut_batch_larger_than_the_headroom_grows_the_tableau(monkeypatch):
     assert stats.final_active_count == 1 + len(A) + 1  # output row, pool cuts, box cut
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(highs_min_eps(seed, A, b, G, h), abs=1e-9)
-    eager = simplex_solve(_eager_problem(seed, A, b, G, h))
-    assert sol.objective_value == pytest.approx(eager.objective_value, abs=1e-9)
 
 
 def test_lazy_is_deterministic():
@@ -559,7 +611,6 @@ def test_lazy_bland_fallback_gives_the_same_rho(monkeypatch):
 
 
 def test_against_scipy_linprog():
-    scipy_opt = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(79)
     for _ in range(25):
         full = _eager_problem(*_random_certification_instance(rng))
@@ -582,7 +633,6 @@ def test_against_scipy_linprog():
 
 
 def test_against_scipy_with_equalities_and_bounds():
-    scipy_opt = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(97)
     for _ in range(25):
         nv = int(rng.integers(2, 5))

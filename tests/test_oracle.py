@@ -8,8 +8,9 @@ from relucert import (Dense, Network, Relu, build_disjunctive, classify,
                       pattern_robustness, pointwise_robustness, satisfiable_at,
                       satisfiable_labels)
 from relucert import oracle
-from relucert.lp import ITERATION_LIMIT, LPSolution, SimplexError
-from helpers import random_conv_pool_net, random_dense_relu_net
+from relucert.encoder import output_constraints
+from relucert.lp import ITERATION_LIMIT, LazyStats, LPSolution, SimplexError
+from helpers import highs_min_eps, random_conv_pool_net, random_dense_relu_net
 
 
 def test_exact_on_linear_three_label(gradient_trap_net):
@@ -93,6 +94,14 @@ def test_grid_dimension_guard():
         grid_robustness(net, np.zeros(4), radius=1.0, resolution=0.1)
 
 
+@pytest.mark.parametrize("radius, resolution", [(math.nan, 0.1), (math.inf, 0.1),
+                                                (2.0, math.nan), (2.0, math.inf)])
+def test_grid_rejects_non_finite_radius_and_resolution(gradient_trap_net, radius, resolution):
+    with pytest.raises(ValueError, match="radius and resolution must be positive and finite"):
+        grid_robustness(gradient_trap_net, np.array([0.0]), radius=radius,
+                        resolution=resolution)
+
+
 def test_grid_upper_bounds_exact():
     rng = np.random.default_rng(101)
     for _ in range(50):
@@ -130,16 +139,22 @@ def test_pattern_total_formula():
     assert exact_robustness(small, np.zeros(2)).patterns_total == 8
 
 
-def test_exact_sandwich_on_small_pool_net():
+def _small_pool_net(rng):
+    """conv 2x2 on a 3x3 input -> relu -> 2x2 max-pool -> dense to 2 labels:
+    2**4 relu patterns times 4 pool winners."""
     from relucert import Conv, MaxPool
 
+    conv = Conv(rng.normal(scale=0.6, size=(1, 1, 2, 2)), rng.normal(size=1),
+                stride=1, padding=0, input_shape=(1, 3, 3))
+    layers = [conv, Relu(), MaxPool((2, 2), 2, input_shape=(1, 2, 2)),
+              Dense(rng.normal(size=(2, 1)), rng.normal(size=2))]
+    return Network(layers, 9, 2)
+
+
+def test_exact_sandwich_on_small_pool_net():
     rng = np.random.default_rng(211)
     for _ in range(3):
-        conv = Conv(rng.normal(scale=0.6, size=(1, 1, 2, 2)), rng.normal(size=1),
-                    stride=1, padding=0, input_shape=(1, 3, 3))
-        layers = [conv, Relu(), MaxPool((2, 2), 2, input_shape=(1, 2, 2)),
-                  Dense(rng.normal(size=(2, 1)), rng.normal(size=2))]
-        net = Network(layers, 9, 2)
+        net = _small_pool_net(rng)
         seed = rng.normal(size=9)
         exact = exact_robustness(net, seed)
         assert exact.patterns_total == 2 ** 4 * 4
@@ -148,16 +163,17 @@ def test_exact_sandwich_on_small_pool_net():
 
 
 def _stop_solves(monkeypatch, min_eps_only=False):
-    """Make oracle's simplex stop at the iteration limit: on every LP, or only
-    on the min-epsilon LPs (nonzero objective), leaving feasibility checks."""
-    real = oracle.simplex_solve
+    """Make oracle's lazy_solve stop at the iteration limit: on every LP, or
+    only on the per-target LPs (output rows in G), leaving the pattern
+    feasibility checks (no output rows)."""
+    real = oracle.lazy_solve
 
-    def stopped(problem, *args, **kwargs):
-        if min_eps_only and not problem.objective.any():
-            return real(problem, *args, **kwargs)
-        return LPSolution(ITERATION_LIMIT, None, math.nan, 0)
+    def stopped(seed, A, b, G, h, *args, **kwargs):
+        if min_eps_only and not len(G):
+            return real(seed, A, b, G, h, *args, **kwargs)
+        return LPSolution(ITERATION_LIMIT, None, math.nan, 0), LazyStats()
 
-    monkeypatch.setattr(oracle, "simplex_solve", stopped)
+    monkeypatch.setattr(oracle, "lazy_solve", stopped)
 
 
 @pytest.mark.parametrize("min_eps_only, stage", [(False, "pattern feasibility"),
@@ -177,3 +193,39 @@ def test_pattern_robustness_raises_on_solver_stop(monkeypatch):
     _stop_solves(monkeypatch)
     with pytest.raises(SimplexError, match="iteration_limit on target"):
         pattern_robustness(net, np.zeros(2), pattern)
+
+
+def _cross_check_nets():
+    rng = np.random.default_rng(263)
+    nets = [(random_dense_relu_net(rng, [2, 3, 3]), rng.normal(size=2)) for _ in range(4)]
+    rng = np.random.default_rng(211)  # the first net of the sandwich test above
+    return nets + [(_small_pool_net(rng), rng.normal(size=9))]
+
+
+@pytest.mark.parametrize("net, seed", _cross_check_nets(),
+                         ids=["dense1", "dense2", "dense3", "dense4", "conv-pool"])
+def test_oracle_agrees_with_highs_on_every_pattern(net, seed):
+    """The oracle solves with lazy_solve, the estimate's own solver, so scipy's
+    HiGHS checks it: on every pattern, the feasibility verdict and the
+    minimum over targets of the whole LP."""
+    encoding = build_disjunctive(net)
+    label = classify(net, seed)
+    no_rows = (np.zeros((0, len(seed))), np.zeros(0))
+    feasible = 0
+    for pattern in encoding.patterns():
+        region = encoding.instantiate(pattern)
+        A, b = region.constraints, region.bias
+        nonempty = highs_min_eps(seed, A, b, *no_rows) is not None
+        assert oracle._signs_feasible(region, seed) is nonempty
+        feasible += nonempty
+        refs = [highs_min_eps(seed, A, b, *output_constraints(region, t))
+                for t in range(net.num_labels) if t != label]
+        expected = min((r for r in refs if r is not None), default=math.inf)
+        rho, _, _ = pattern_robustness(net, seed, pattern, encoding)
+        if expected == math.inf:
+            assert rho == math.inf
+        else:
+            assert rho == pytest.approx(expected, abs=1e-6)
+    assert feasible > 0
+    if len(seed) == 2:  # 3 lines cut the plane into at most 7 of the 8 patterns' cells
+        assert feasible <= 7

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize  # noqa: F401  (HiGHS, the reference of highs_min_eps)
 
 import relucert.robustness
 from relucert import (Dense, LPSolution, Network, Relu, SimplexError, classify,
@@ -299,7 +300,6 @@ def test_conv_all_point_19_regression(monkeypatch):
     assert record.seed_label == point.label == 9
     assert record.target_label == 0
     assert record.rho_hat == pytest.approx(0.0639089123, abs=1e-9)
-    pytest.importorskip("scipy.optimize")
     region = extract_region(net, point.x)
     refs = [highs_min_eps(point.x, region.constraints, region.bias,
                           *output_constraints(region, t))
@@ -325,7 +325,6 @@ def test_flips_at_an_exact_tie_follows_argmax(weights, bias, label, flips):
 def test_rho_lower_bound_is_below_highs(with_region, with_domain):
     """gap / ||g||_1 of any violated output row never exceeds the whole LP's
     optimum; a violated all-zero row makes the bound and the LP infinite."""
-    pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(241 + 2 * with_region + with_domain)
     domain = (-2.0, 2.0) if with_domain else None
     positive = 0
@@ -350,7 +349,6 @@ def test_rho_lower_bound_is_below_highs(with_region, with_domain):
 
 
 def test_rho_lower_bound_is_exact_for_one_row():
-    pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(251)
     none = (np.zeros((0, 3)), np.zeros(0))
     for _ in range(20):
