@@ -378,37 +378,86 @@ class LabeledPoint:
         object.__setattr__(self, "label", int(self.label))
 
 
-def _check_point(x, label, lineno, input_dim, num_labels, input_domain):
-    if input_dim is not None and len(x) != input_dim:
-        raise DatasetError(f"line {lineno}: expected {input_dim} features, got {len(x)}")
-    if num_labels is not None and not 0 <= label < num_labels:
-        raise DatasetError(f"line {lineno}: label {label} out of range [0, {num_labels})")
-    if input_domain is not None:
+# Lines are read in blocks of about this many bytes, so the loader holds about
+# one block of text beyond the points it returns.
+_CSV_BLOCK_BYTES = 1 << 18
+
+
+def _rows_error(rows, lines, linenos, input_dim, num_labels, input_domain):
+    """DatasetError for the first parsed row (label, features...) that fails
+    a check, naming on that row the first failing check in the order integer
+    label, feature count, label range, finite features, domain; None when
+    every row passes."""
+    labels, x = rows[:, 0], rows[:, 1:]
+    checks = [
+        (~np.isfinite(labels) | (labels != np.trunc(labels)),
+         lambda i: f"non-integer label {lines[i].strip().split(',')[0]!r}"),
+        (np.full(len(rows), x.shape[1] != input_dim),
+         lambda i: f"expected {input_dim} features, got {x.shape[1]}"),
+    ]
+    if num_labels is not None:
+        checks.append(((labels < 0) | (labels >= num_labels),
+                       lambda i: f"label {int(labels[i])} out of range [0, {num_labels})"))
+    checks.append((~np.isfinite(x).all(axis=1), lambda i: "non-finite feature"))
+    if input_domain is not None and x.shape[1]:
         lo, hi = input_domain
-        if x.min() < lo or x.max() > hi:
-            raise DatasetError(f"line {lineno}: feature outside domain [{lo}, {hi}]")
+        checks.append(((x.min(axis=1) < lo) | (x.max(axis=1) > hi),
+                       lambda i: f"feature outside domain [{lo}, {hi}]"))
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    message = next(message for mask, message in checks if mask[i])
+    return DatasetError(f"line {linenos[i]}: {message(i)}")
+
+
+def _c_float(token):
+    """float(token) for the tokens NumPy's C parser accepts: float() also
+    takes digit-group underscores and non-ASCII digits, the C parser does not."""
+    if "_" in token or not token.strip().isascii():
+        raise ValueError(f"could not convert string to float: {token!r}")
+    return float(token)
+
+
+def _block_error(lines, linenos, input_dim, num_labels, input_domain, reason):
+    """DatasetError for the first bad line of a block that np.loadtxt
+    rejected, checking its lines one at a time in file order."""
+    for line, lineno in zip(lines, linenos):
+        try:
+            row = np.array([[_c_float(t) for t in line.strip().split(",")]])
+        except ValueError as exc:
+            return DatasetError(f"line {lineno}: {exc}")
+        if input_dim is None:
+            input_dim = row.shape[1] - 1
+        error = _rows_error(row, [line], [lineno], input_dim, num_labels, input_domain)
+        if error is not None:
+            return error
+    return DatasetError(f"lines {linenos[0]}-{linenos[-1]}: {reason}")
 
 
 def _load_csv(path, input_dim, num_labels, input_domain):
     points = []
+    start = 1
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split(",")
+        while lines := fh.readlines(_CSV_BLOCK_BYTES):
+            linenos = np.arange(start, start + len(lines))
+            start += len(lines)
+            if any(map(str.isspace, lines)):
+                keep = [i for i, line in enumerate(lines) if not line.isspace()]
+                lines, linenos = [lines[i] for i in keep], linenos[keep]
+                if not lines:
+                    continue
             try:
-                label_f = float(tokens[0])
-                x = np.array([float(t) for t in tokens[1:]])
+                rows = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
             except ValueError as exc:
-                raise DatasetError(f"line {lineno}: {exc}") from None
-            if label_f != int(label_f):
-                raise DatasetError(f"line {lineno}: non-integer label {tokens[0]!r}")
-            label = int(label_f)
+                raise _block_error(lines, linenos, input_dim, num_labels, input_domain,
+                                   exc) from None
             if input_dim is None:
-                input_dim = len(x)
-            _check_point(x, label, lineno, input_dim, num_labels, input_domain)
-            points.append(LabeledPoint(x, label))
+                input_dim = rows.shape[1] - 1
+            error = _rows_error(rows, lines, linenos, input_dim, num_labels, input_domain)
+            if error is not None:
+                raise error
+            points.extend(map(LabeledPoint, rows[:, 1:], rows[:, 0].tolist()))
     return points
 
 
@@ -462,6 +511,15 @@ def _load_idx(path, labels_path, input_dim, num_labels, input_domain):
 def load_dataset(path, fmt="csv", *, labels_path=None, input_dim=None,
                  num_labels=None, input_domain=None) -> list[LabeledPoint]:
     """Load labeled points from a CSV (label, features...) or an IDX image/label pair.
+
+    CSV lines are parsed in blocks by NumPy's C parser, which converts each
+    token exactly as float() does except that it rejects digit-group
+    underscores ("1_0") and non-ASCII digits. Blank and whitespace-only lines
+    are skipped. Labels must be finite integers and features finite; the
+    feature count must be input_dim (by default that of the first line), the
+    label in [0, num_labels) and every feature in input_domain when these are
+    given. A violation raises DatasetError naming the first bad line in the
+    file, with the first check it fails in that order.
 
     IDX pixel data (0-255) is rescaled linearly onto input_domain when one is
     declared; otherwise raw byte values are kept. An IDX image whose pixel

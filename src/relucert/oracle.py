@@ -20,6 +20,7 @@ from .lp import INFEASIBLE, OPTIMAL, SimplexError, lazy_solve
 from .model import Network, classify, forward_batch
 
 _GRID_CHUNK = 1 << 16
+_GRID_MAX_POINTS = 10 ** 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +104,8 @@ def grid_robustness(net: Network, seed, radius: float, resolution: float) -> flo
     """Smallest L-infinity distance to a label flip on a regular grid.
 
     An upper-bound oracle: never smaller than the exact value minus one grid
-    step. Guarded to n <= 3 inputs because the grid is exponential in n.
+    step. Guarded to n <= 3 inputs and to at most _GRID_MAX_POINTS grid
+    points because the grid is exponential in n.
     """
     seed = np.asarray(seed, dtype=float)
     n = seed.shape[0]
@@ -111,8 +113,14 @@ def grid_robustness(net: Network, seed, radius: float, resolution: float) -> flo
         raise ValueError(f"grid search limited to 3 input dims, got {n}")
     if not (0 < radius < math.inf and 0 < resolution < math.inf):
         raise ValueError("radius and resolution must be positive and finite")
+    ratio = radius / resolution
+    if not math.isfinite(ratio):
+        raise ValueError(f"radius / resolution = {ratio}: the grid step count is not finite")
+    steps = round(ratio)
+    if (2 * steps + 1) ** n > _GRID_MAX_POINTS:
+        raise ValueError(f"radius / resolution = {ratio:.6g} in {n} dims: the grid is over"
+                         f" the limit of {_GRID_MAX_POINTS} points")
     label = classify(net, seed)
-    steps = int(round(radius / resolution))
     offsets = np.arange(-steps, steps + 1) * resolution
     axes = np.meshgrid(*([offsets] * n), indexing="ij")
     deltas = np.stack([ax.ravel() for ax in axes], axis=1)

@@ -191,3 +191,41 @@ def highs_min_eps(seed, A, b, G, h, domain=None):
         return None
     assert res.status == 0, res.message
     return res.fun
+
+
+def reference_load_csv(path, input_dim=None, num_labels=None, input_domain=None):
+    """The per-line CSV loader that load_dataset's block loader replaced: one
+    float() per token and the checks of each line in turn. Reference for the
+    parity tests on files without non-finite values or underscored tokens."""
+    from relucert import DatasetError
+
+    def check_point(x, label, lineno, input_dim):
+        if input_dim is not None and len(x) != input_dim:
+            raise DatasetError(f"line {lineno}: expected {input_dim} features, got {len(x)}")
+        if num_labels is not None and not 0 <= label < num_labels:
+            raise DatasetError(f"line {lineno}: label {label} out of range [0, {num_labels})")
+        if input_domain is not None:
+            lo, hi = input_domain
+            if x.min() < lo or x.max() > hi:
+                raise DatasetError(f"line {lineno}: feature outside domain [{lo}, {hi}]")
+
+    points = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            tokens = line.split(",")
+            try:
+                label_f = float(tokens[0])
+                x = np.array([float(t) for t in tokens[1:]])
+            except ValueError as exc:
+                raise DatasetError(f"line {lineno}: {exc}") from None
+            if label_f != int(label_f):
+                raise DatasetError(f"line {lineno}: non-integer label {tokens[0]!r}")
+            label = int(label_f)
+            if input_dim is None:
+                input_dim = len(x)
+            check_point(x, label, lineno, input_dim)
+            points.append(LabeledPoint(x, label))
+    return points

@@ -63,6 +63,16 @@ def test_certify_empty_dataset(tmp_path, trap_model, capsys):
     assert "empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_certify_non_finite_label_is_a_data_error(tmp_path, trap_model, capsys, token):
+    data = tmp_path / "bad.csv"
+    data.write_text(f"0, 0.0\n{token}, 0.0\n")
+    code = main(["certify", "--model", str(trap_model), "--data", str(data),
+                 "--out", str(tmp_path / "records.jsonl")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: line 2: non-integer label '{token}'\n"
+
+
 def test_certify_all_targets_never_worse_than_second(tmp_path, toy_setup):
     net, model, data = toy_setup
     out_second = tmp_path / "second.jsonl"

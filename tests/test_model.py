@@ -2,14 +2,19 @@ import gzip
 import json
 import math
 import struct
+import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from relucert import model
 from relucert import (Conv, DatasetError, Dense, MaxPool, ModelError, Network, Relu,
                       classify, forward, forward_batch, load_dataset, load_model,
                       networks_equal, save_model, second_label)
-from helpers import naive_forward, random_conv_pool_net, random_dense_relu_net
+from helpers import (naive_forward, random_conv_pool_net, random_dense_relu_net,
+                     reference_load_csv)
 
 
 def test_forward_identity_dense():
@@ -211,6 +216,123 @@ def test_load_csv_row_length_mismatch(tmp_path):
     path.write_text("1, 0.5, -0.5\n0, 1.0\n")
     with pytest.raises(DatasetError, match="line 2"):
         load_dataset(path, "csv", input_dim=2, num_labels=3)
+
+
+@pytest.mark.parametrize("text, domain", [("0,0.5,0.5\n1,0.5,nan\n", (0.0, 1.0)),
+                                          ("0,0.5,0.5\n1,0.5,inf\n", None),
+                                          ("0,0.5,0.5\n1,-inf,0.5\n", (0.0, 1.0))])
+def test_load_csv_rejects_non_finite_features(tmp_path, text, domain):
+    path = tmp_path / "points.csv"
+    path.write_text(text)
+    with pytest.raises(DatasetError, match="^line 2: non-finite feature$"):
+        load_dataset(path, "csv", input_domain=domain)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_load_csv_rejects_non_finite_labels(tmp_path, token):
+    path = tmp_path / "points.csv"
+    path.write_text(f"1,0.5\n\n{token} ,0.5\n")
+    with pytest.raises(DatasetError, match=f"^line 3: non-integer label '{token} '$"):
+        load_dataset(path, "csv", num_labels=3)
+
+
+def test_load_csv_rejects_underscored_digits(tmp_path):
+    path = tmp_path / "points.csv"
+    path.write_text("1,0.5\n1,1_0\n")
+    with pytest.raises(DatasetError,
+                       match="^line 2: could not convert string to float: '1_0'$"):
+        load_dataset(path, "csv")
+
+
+@pytest.mark.parametrize("text", ["", "\n", "  \n\t\r\n\n"])
+def test_load_csv_without_rows_is_empty_and_silent(tmp_path, text):
+    path = tmp_path / "points.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_dataset(path, "csv", input_dim=2, num_labels=3,
+                            input_domain=(0.0, 1.0)) == []
+
+
+_FAULTS = ["token", "empty", "ragged", "fraction", "range", "domain"]
+
+
+@st.composite
+def csv_files(draw):
+    """(text, load_dataset keywords) of a random CSV file with up to two
+    faults, on one line or two; blank lines, CRLF, padded tokens and varied
+    label spellings."""
+    dim = draw(st.integers(1, 4))
+    num_labels = draw(st.integers(1, 4))
+    domain = draw(st.sampled_from([None, (-1.0, 1.0)]))
+    feature = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+        st.floats(-1.0, 1.0) if domain else st.floats(allow_nan=False, allow_infinity=False))
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    rows = []
+    for _ in range(draw(st.integers(1, 25))):
+        label = draw(st.integers(0, num_labels - 1))
+        spelling = draw(st.sampled_from(["{}", "{}.0", "+{}", "{}e0"]))
+        rows.append([spelling.format(label)]
+                    + [repr(draw(feature)) for _ in range(dim)])
+    # ragged last, so that the other faults find every column in place
+    for fault in sorted(draw(st.lists(st.sampled_from(_FAULTS), max_size=2, unique=True)),
+                        key=lambda fault: fault == "ragged"):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        column = draw(st.integers(1, dim))
+        if fault == "token":
+            row[column] = draw(st.sampled_from(["abc", "1x", "0.5.5", "--1"]))
+        elif fault == "empty":
+            row[column] = draw(st.sampled_from(["", " "]))
+        elif fault == "fraction":
+            row[0] = "1.5"
+        elif fault == "range":
+            row[0] = draw(st.sampled_from([str(num_labels), "-1"]))
+        elif fault == "domain":
+            row[column] = "1.5"
+        elif draw(st.booleans()):
+            del row[column]
+        else:
+            row.append("0.5")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(["", " ", "\t "]), max_size=2))
+        lines.append(",".join(draw(pad) + token + draw(pad) for token in row))
+    text = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    kwargs = {"input_dim": draw(st.sampled_from([None, dim])),
+              "num_labels": draw(st.sampled_from([None, num_labels])),
+              "input_domain": domain}
+    return text, kwargs
+
+
+_LABELS_AND_DOMAIN = {"input_dim": None, "num_labels": 2, "input_domain": (-1.0, 1.0)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_files(), st.sampled_from([1, 40, 1 << 18]))
+@example(("0,0.5\n0,1.5\n7,0.5\n", _LABELS_AND_DOMAIN), 1 << 18)
+@example(("0,0.5\n7,1.5\n", _LABELS_AND_DOMAIN), 1 << 18)
+@example(("0,0.5\n0.5,9,1.5\n", _LABELS_AND_DOMAIN), 1 << 18)
+def test_load_csv_matches_per_line_reference(tmp_path_factory, case, block_bytes):
+    text, kwargs = case
+    path = tmp_path_factory.getbasetemp() / "parity.csv"
+    path.write_bytes(text.encode())
+    try:
+        expected = reference_load_csv(path, **kwargs)
+    except DatasetError as exc:
+        expected = exc
+    with patch.object(model, "_CSV_BLOCK_BYTES", block_bytes), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(expected, DatasetError):
+            with pytest.raises(DatasetError) as raised:
+                load_dataset(path, "csv", **kwargs)
+            assert str(raised.value) == str(expected)
+            return
+        points = load_dataset(path, "csv", **kwargs)
+    assert [p.label for p in points] == [p.label for p in expected]
+    assert all(type(p.label) is int for p in points)
+    assert [p.x.tobytes() for p in points] == [p.x.tobytes() for p in expected]
 
 
 def _write_idx_pair(tmp_path, images, labels, compress=False):

@@ -102,6 +102,23 @@ def test_grid_rejects_non_finite_radius_and_resolution(gradient_trap_net, radius
                         resolution=resolution)
 
 
+def test_grid_rejects_non_finite_step_count(gradient_trap_net):
+    with pytest.raises(ValueError, match="step count is not finite"):
+        grid_robustness(gradient_trap_net, np.array([0.0]), radius=1e300, resolution=1e-300)
+
+
+def test_grid_size_guard(gradient_trap_net, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(np, "meshgrid", no_grid)
+    net = Network([Dense(np.eye(2), np.zeros(2))], 2, 2)
+    with pytest.raises(ValueError, match="over the limit"):
+        grid_robustness(net, np.zeros(2), radius=1e6, resolution=1.0)
+    with pytest.raises(ValueError, match="over the limit"):
+        grid_robustness(gradient_trap_net, np.array([0.0]), radius=1e300, resolution=1.0)
+
+
 def test_grid_upper_bounds_exact():
     rng = np.random.default_rng(101)
     for _ in range(50):
