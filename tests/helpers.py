@@ -204,7 +204,7 @@ def reference_load_csv(path, input_dim=None, num_labels=None, input_domain=None)
             raise DatasetError(f"line {lineno}: expected {input_dim} features, got {len(x)}")
         if num_labels is not None and not 0 <= label < num_labels:
             raise DatasetError(f"line {lineno}: label {label} out of range [0, {num_labels})")
-        if input_domain is not None:
+        if input_domain is not None and len(x):
             lo, hi = input_domain
             if x.min() < lo or x.max() > hi:
                 raise DatasetError(f"line {lineno}: feature outside domain [{lo}, {hi}]")

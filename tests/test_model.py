@@ -314,6 +314,7 @@ _LABELS_AND_DOMAIN = {"input_dim": None, "num_labels": 2, "input_domain": (-1.0,
 @example(("0,0.5\n0,1.5\n7,0.5\n", _LABELS_AND_DOMAIN), 1 << 18)
 @example(("0,0.5\n7,1.5\n", _LABELS_AND_DOMAIN), 1 << 18)
 @example(("0,0.5\n0.5,9,1.5\n", _LABELS_AND_DOMAIN), 1 << 18)
+@example(("0\n", {"input_dim": None, "num_labels": None, "input_domain": (-1.0, 1.0)}), 1)
 def test_load_csv_matches_per_line_reference(tmp_path_factory, case, block_bytes):
     text, kwargs = case
     path = tmp_path_factory.getbasetemp() / "parity.csv"
