@@ -2,14 +2,17 @@
 
 extract_region builds the convex region on which the network is affine as
 rows A x + b >= 0 (one per ReLU unit, one per non-selected unit of each pool
-window) plus the logit expressions valid there. build_disjunctive exposes the
-same machinery for an arbitrary activation pattern, which is what the exact
-enumeration oracle iterates over.
+window), the logit expressions valid there and the activation pattern that
+fixed them. build_disjunctive exposes the same machinery for any pattern,
+which the exact enumeration oracle iterates over, and the rows' origins,
+which depend only on the network.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -22,67 +25,69 @@ from .model import Conv, Dense, MaxPool, Network, Relu
 class LinearRegion:
     """The affine piece of one activation pattern, with logits valid on it.
 
-    The piece is the set of x with constraints @ x + bias >= 0. Row k comes
-    from origin[k] = (layer, unit) for a ReLU unit or (layer, window) for a
-    pool window.
+    The piece is the set of x with constraints @ x + bias >= 0; row k comes
+    from build_disjunctive(net).origin[k]. pattern holds one array per ReLU
+    layer (True = active) and one per pool layer (the selected position in
+    each window), in layer order.
     """
 
     constraints: np.ndarray
     bias: np.ndarray
-    origin: np.ndarray
     logits: AffineVector
-    signature: tuple
-
-
-@dataclass(frozen=True)
-class Site:
-    """One disjunction site: a ReLU unit (2 branches) or a pool window (size branches)."""
-
-    kind: str
-    layer: int
-    unit: int
-    size: int
+    pattern: tuple
 
 
 @dataclass(frozen=True, eq=False)
 class DisjunctiveEncoding:
-    """All activation-pattern choices of a network, instantiable one pattern at a time."""
+    """All activation patterns of a network, instantiable one pattern at a time.
+
+    layers holds (layer, sites, branches) per ReLU layer (a site per unit, 2
+    branches) and per pool layer (a site per window, a branch per position).
+    """
 
     net: Network
-    sites: tuple[Site, ...]
+    layers: tuple[tuple[int, int, int], ...]
 
     def num_patterns(self) -> int:
-        count = 1
-        for site in self.sites:
-            count *= site.size
-        return count
+        return math.prod(branches ** sites for _, sites, branches in self.layers)
+
+    def _dtype(self, layer: int):
+        return bool if isinstance(self.net.layers[layer], Relu) else np.intp
 
     def patterns(self):
-        """Iterate every activation pattern in a fixed deterministic order."""
-        choices = [(False, True) if s.kind == "relu" else tuple(range(s.size))
-                   for s in self.sites]
-        return product(*choices)
+        """Iterate every activation pattern lazily, as per-layer arrays, in the
+        order of itertools.product over the sites, first site slowest."""
+        ends = np.cumsum([sites for _, sites, _ in self.layers])
+        for flat in product(*[range(branches) for _, sites, branches in self.layers
+                              for _ in range(sites)]):
+            yield tuple(np.array(flat[end - sites:end], self._dtype(i))
+                        for end, (i, sites, _) in zip(ends, self.layers))
+
+    @cached_property
+    def origin(self) -> np.ndarray:
+        """(layer, unit) per ReLU row and (layer, window) per pool row, the
+        same for every pattern: a window has a row per unselected position."""
+        return np.array([(i, site) for i, sites, branches in self.layers
+                         for site in range(sites) for _ in range(branches - 1)],
+                        dtype=int).reshape(-1, 2)
 
     def instantiate(self, pattern) -> LinearRegion:
-        """Region rows and logit expressions for one fixed activation pattern."""
+        """Region rows and logit expressions for one activation pattern, given
+        per layer as patterns() yields it and LinearRegion.pattern holds it."""
         pattern = tuple(pattern)
-        if len(pattern) != len(self.sites):
-            raise ValueError(f"pattern length {len(pattern)} != sites {len(self.sites)}")
-        cursor = 0
-
-        def choose_relu(i, pre):
-            nonlocal cursor
-            signs = np.array([bool(p) for p in pattern[cursor:cursor + len(pre)]])
-            cursor += len(pre)
-            return signs
-
-        def choose_pool(i, pre, windows):
-            nonlocal cursor
-            sel = np.array([int(p) for p in pattern[cursor:cursor + windows.shape[0]]])
-            cursor += windows.shape[0]
-            return sel
-
-        return _propagate(self.net, choose_relu, choose_pool)
+        if len(pattern) != len(self.layers):
+            raise ValueError(f"pattern has {len(pattern)} layers, expected {len(self.layers)}")
+        checked = []
+        for choice, (i, sites, branches) in zip(pattern, self.layers):
+            choice = np.asarray(choice, self._dtype(i))
+            if choice.shape != (sites,):
+                raise ValueError(f"layer {i}: pattern shape {choice.shape}, expected ({sites},)")
+            if choice.min(initial=0) < 0 or choice.max(initial=0) >= branches:
+                raise ValueError(f"layer {i}: window position outside [0, {branches})")
+            checked.append(choice)
+        choices = iter(checked)
+        return _propagate(self.net, lambda pre: next(choices),
+                          lambda pre, windows: next(choices))
 
 
 def _propagate(net: Network, choose_relu, choose_pool) -> LinearRegion:
@@ -90,23 +95,21 @@ def _propagate(net: Network, choose_relu, choose_pool) -> LinearRegion:
     v = AffineVector.identity(net.input_dim)
     rows = [np.zeros((0, net.input_dim))]
     bias = [np.zeros(0)]
-    origin = [np.zeros((0, 2), dtype=int)]
-    signature: list = []
-    for i, layer in enumerate(net.layers):
+    pattern = []
+    for layer in net.layers:
         if isinstance(layer, (Dense, Conv)):
             v = affine_dense(layer, v)
         elif isinstance(layer, Relu):
-            signs = choose_relu(i, v)
+            active = choose_relu(v)
             # active units keep pre >= 0, inactive ones -pre >= 0
-            sign = np.where(signs, 1.0, -1.0)
+            sign = np.where(active, 1.0, -1.0)
             rows.append(sign[:, None] * v.coeffs)
             bias.append(sign * v.bias)
-            origin.append(np.column_stack([np.full(len(v), i), np.arange(len(v))]))
-            signature.extend(bool(s) for s in signs)
-            v = relu_fix(v, signs)
+            pattern.append(active)
+            v = relu_fix(v, active)
         elif isinstance(layer, MaxPool):
             windows = layer.windows
-            sel = choose_pool(i, v, windows)
+            sel = choose_pool(v, windows)
             pooled = maxpool_fix(v, sel, windows)
             # the selected unit dominates every other unit of its window
             chosen = windows[np.arange(windows.shape[0]), sel]
@@ -114,13 +117,11 @@ def _propagate(net: Network, choose_relu, choose_pool) -> LinearRegion:
             other, top = windows[window, pos], chosen[window]
             rows.append(v.coeffs[top] - v.coeffs[other])
             bias.append(v.bias[top] - v.bias[other])
-            origin.append(np.column_stack([np.full(len(window), i), window]))
-            signature.extend(int(s) for s in sel)
+            pattern.append(sel)
             v = pooled
         else:
             raise ValueError(f"unsupported layer type {type(layer).__name__}")
-    return LinearRegion(np.concatenate(rows), np.concatenate(bias),
-                        np.concatenate(origin), v, tuple(signature))
+    return LinearRegion(np.concatenate(rows), np.concatenate(bias), v, tuple(pattern))
 
 
 def extract_region(net: Network, seed) -> LinearRegion:
@@ -133,15 +134,8 @@ def extract_region(net: Network, seed) -> LinearRegion:
     seed = np.asarray(seed, dtype=float)
     if seed.shape != (net.input_dim,):
         raise ValueError(f"seed shape {seed.shape}, expected ({net.input_dim},)")
-
-    def choose_relu(i, pre):
-        return pre.eval(seed) > 0.0
-
-    def choose_pool(i, pre, windows):
-        values = pre.eval(seed)
-        return np.argmax(values[windows], axis=1)
-
-    return _propagate(net, choose_relu, choose_pool)
+    return _propagate(net, lambda pre: pre.eval(seed) > 0.0,
+                      lambda pre, windows: np.argmax(pre.eval(seed)[windows], axis=1))
 
 
 def output_constraints(region: LinearRegion, target: int,
@@ -159,16 +153,15 @@ def output_constraints(region: LinearRegion, target: int,
 
 
 def build_disjunctive(net: Network) -> DisjunctiveEncoding:
-    """Enumerate the network's disjunction sites without fixing a pattern."""
+    """The network's ReLU and pool layers as (layer, sites, branches), without
+    fixing a pattern."""
     dims = net.layer_dims()
-    sites: list[Site] = []
+    layers = []
     for i, layer in enumerate(net.layers):
         if isinstance(layer, Relu):
-            for j in range(dims[i]):
-                sites.append(Site("relu", i, j, 2))
+            layers.append((i, dims[i], 2))
         elif isinstance(layer, MaxPool):
-            for w in range(layer.windows.shape[0]):
-                sites.append(Site("pool", i, w, layer.windows.shape[1]))
+            layers.append((i, *layer.windows.shape))
         elif not isinstance(layer, (Dense, Conv)):
             raise ValueError(f"unsupported layer type {type(layer).__name__}")
-    return DisjunctiveEncoding(net, tuple(sites))
+    return DisjunctiveEncoding(net, tuple(layers))

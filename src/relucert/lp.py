@@ -43,10 +43,10 @@ fit the row capacity doubles (or grows to fit the batch) and the tableau is
 copied over once.
 
 simplex_solve and its generic form (LPProblem, LinearConstraint,
-linf_box_problem, scaled_constraints) stay only because the benchmark harness
-in perfbench/ names them. It is a dense two-phase primal simplex with Bland's
-rule (smallest index enters; min-ratio ties broken by smallest basic index),
-so runs are deterministic and cycling-free. Its tableau is built from arrays:
+linf_box_problem) stay only because the benchmark harness in perfbench/ names
+them. It is a dense two-phase primal simplex with Bland's rule (smallest index
+enters; min-ratio ties broken by smallest basic index), so runs are
+deterministic and cycling-free. Its tableau is built from arrays:
 the constraints and the bound rows are stacked into a row matrix, an rhs
 vector and a sense vector (+1 '<=', -1 '>=', 0 '='), and rows with rhs < 0
 are negated, which flips their sense. Columns are the free split
@@ -308,15 +308,6 @@ def _unit_rows(A, b):
     scale = np.abs(A).max(axis=1, initial=0.0)
     scale[scale <= 0.0] = 1.0
     return A / scale[:, None], b / scale
-
-
-def scaled_constraints(A, b, num_vars: int) -> list[LinearConstraint]:
-    """Rows A x + b >= 0 over the leading x-variables, unit-scaled by
-    _unit_rows, as '>=' constraints in the LP variable space."""
-    a_unit, b_unit = _unit_rows(A, b)
-    a = np.zeros((A.shape[0], num_vars))
-    a[:, : A.shape[1]] = a_unit
-    return [LinearConstraint(row, ">=", r) for row, r in zip(a, -b_unit)]
 
 
 def _shifted_rows(seed, sigma, A, b):

@@ -314,18 +314,31 @@ def _layer_to_json(layer: Layer) -> dict:
             "input_shape": list(layer.input_shape)}
 
 
+def _json_int(value, field: str) -> int:
+    """An integral JSON number (2 or 2.0) as an int; 2.7, true or "3" raise."""
+    if not (type(value) is int or type(value) is float and value.is_integer()):
+        raise ModelError(f"{field}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _json_ints(values, field: str) -> tuple[int, ...]:
+    return tuple(_json_int(v, f"{field}[{k}]") for k, v in enumerate(values))
+
+
 def _layer_from_json(obj: dict, index: int) -> Layer:
     try:
         kind = obj["type"]
         if kind == "dense":
             return Dense(obj["weights"], obj["bias"])
         if kind == "conv":
-            return Conv(obj["kernel"], obj["bias"], int(obj["stride"]),
-                        int(obj["padding"]), tuple(obj["input_shape"]))
+            return Conv(obj["kernel"], obj["bias"], _json_int(obj["stride"], "stride"),
+                        _json_int(obj["padding"], "padding"),
+                        _json_ints(obj["input_shape"], "input_shape"))
         if kind == "relu":
             return Relu()
         if kind == "maxpool":
-            return MaxPool(tuple(obj["window"]), int(obj["stride"]), tuple(obj["input_shape"]))
+            return MaxPool(_json_ints(obj["window"], "window"), _json_int(obj["stride"], "stride"),
+                           _json_ints(obj["input_shape"], "input_shape"))
         raise ModelError(f"unknown layer type {kind!r}")
     except (KeyError, TypeError, ValueError) as exc:  # ModelError is a ValueError
         raise ModelError(f"layer {index}: {exc}") from None
@@ -355,7 +368,8 @@ def load_model(path) -> Network:
     try:
         layers = [_layer_from_json(obj, i) for i, obj in enumerate(doc["layers"])]
         domain = doc.get("input_domain")
-        return Network(layers, int(doc["input_dim"]), int(doc["num_labels"]),
+        return Network(layers, _json_int(doc["input_dim"], "input_dim"),
+                       _json_int(doc["num_labels"], "num_labels"),
                        tuple(domain) if domain else None)
     except ModelError:
         raise

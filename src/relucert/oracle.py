@@ -2,7 +2,8 @@
 
 exact_robustness enumerates every activation pattern of the disjunctive
 encoding and minimizes the perturbation radius per pattern and target label,
-so it realizes the unrestricted definition up to LP tolerance. It solves with
+so it realizes the unrestricted definition up to LP tolerance; a pattern is
+one array per ReLU or pool layer, as in LinearRegion.pattern. It solves with
 lazy_solve from the seed, which may lie outside the pattern's region.
 grid_robustness is an independent brute-force upper bound for
 low-dimensional inputs. Both exist to sandwich the LP estimate in tests.
@@ -60,16 +61,15 @@ def _pattern_best(region, seed, targets):
     return best
 
 
-def pattern_robustness(net: Network, seed, pattern, encoding=None):
+def pattern_robustness(net: Network, seed, pattern):
     """Min perturbation radius within one fixed activation pattern.
 
     Returns (rho, witness, target); rho is +inf when no target is reachable.
     """
     seed = np.asarray(seed, dtype=float)
-    encoding = encoding or build_disjunctive(net)
     label = classify(net, seed)
     targets = [t for t in range(net.num_labels) if t != label]
-    return _pattern_best(encoding.instantiate(pattern), seed, targets)
+    return _pattern_best(build_disjunctive(net).instantiate(pattern), seed, targets)
 
 
 def exact_robustness(net: Network, seed, max_sites: int = 16) -> ExactResult:
@@ -83,8 +83,8 @@ def exact_robustness(net: Network, seed, max_sites: int = 16) -> ExactResult:
     total = encoding.num_patterns()
     if total > 2 ** max_sites:
         raise ValueError(
-            f"{len(encoding.sites)} sites give {total} patterns, over the"
-            f" 2**{max_sites} enumeration guard")
+            f"{sum(sites for _, sites, _ in encoding.layers)} sites give {total}"
+            f" patterns, over the 2**{max_sites} enumeration guard")
     label = classify(net, seed)
     targets = [t for t in range(net.num_labels) if t != label]
     feasible = 0

@@ -81,6 +81,16 @@ def random_conv_pool_net(rng):
     return Network([conv, Relu(), pool, dense], 16, 2)
 
 
+def small_pool_net(rng):
+    """conv 2x2 on a 3x3 input -> relu -> 2x2 max-pool -> dense to 2 labels:
+    2**4 relu patterns times 4 pool winners."""
+    conv = Conv(rng.normal(scale=0.6, size=(1, 1, 2, 2)), rng.normal(size=1),
+                stride=1, padding=0, input_shape=(1, 3, 3))
+    layers = [conv, Relu(), MaxPool((2, 2), 2, input_shape=(1, 2, 2)),
+              Dense(rng.normal(size=(2, 1)), rng.normal(size=2))]
+    return Network(layers, 9, 2)
+
+
 def blobs(rng, count_per_class, std=0.45, centers=((-1.0, -1.0), (1.0, 1.0))):
     """Two separable Gaussian blobs in the plane."""
     points = []

@@ -372,6 +372,19 @@ def test_io_error_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path / "r.jsonl")]) == 2
 
 
+def test_certify_non_integral_size_is_a_model_error(tmp_path, trap_model, capsys):
+    doc = json.loads(trap_model.read_text())
+    doc["input_dim"] = 1.5
+    trap_model.write_text(json.dumps(doc))
+    data = tmp_path / "d.csv"
+    data.write_text("0, 0.0\n")
+    out = tmp_path / "r.jsonl"
+    assert main(["certify", "--model", str(trap_model), "--data", str(data),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: input_dim: expected an integer, got 1.5\n"
+    assert not out.exists()
+
+
 def test_version_runs():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -1,14 +1,22 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from relucert import (AffineVector, Dense, MaxPool, Network, Relu, affine_dense,
-                      build_disjunctive, classify, extract_region, forward,
+                      build_disjunctive, classify, encoder, extract_region, forward,
                       output_constraints)
-from helpers import random_conv_pool_net, random_dense_relu_net
+from helpers import random_conv_pool_net, random_dense_relu_net, small_pool_net
 
 
 def _slacks(region, x):
     return region.constraints @ x + region.bias
+
+
+def _same_pattern(p, q):
+    """Per-layer patterns with equal arrays, dtypes included."""
+    return len(p) == len(q) and all(a.dtype == b.dtype and np.array_equal(a, b)
+                                    for a, b in zip(p, q))
 
 
 def _two_unit_net():
@@ -23,8 +31,8 @@ def test_extract_region_one_dim_hand_check():
     # -(-x) >= 0, i.e. the same halfspace x >= 0
     assert np.array_equal(region.constraints, [[1.0], [1.0]])
     assert np.array_equal(region.bias, [0.0, 0.0])
-    assert np.array_equal(region.origin, [[1, 0], [1, 1]])
-    assert region.signature == (True, False)
+    assert np.array_equal(build_disjunctive(net).origin, [[1, 0], [1, 1]])
+    assert _same_pattern(region.pattern, (np.array([True, False]),))
 
 
 def test_extract_region_linear_classifier_is_unconstrained(gradient_trap_net):
@@ -79,7 +87,7 @@ def test_exactly_one_branch_holds_off_boundary():
             if np.all(_slacks(enc.instantiate(pattern), x) >= 0):
                 consistent.append(pattern)
         assert len(consistent) == 1
-        assert consistent[0] == extract_region(net, x).signature
+        assert _same_pattern(consistent[0], extract_region(net, x).pattern)
 
 
 def test_output_constraints_counts_and_margin():
@@ -122,7 +130,7 @@ def test_build_disjunctive_site_and_pattern_counts():
     net = Network([Dense(np.random.default_rng(0).normal(size=(3, 2)), np.zeros(3)),
                    Relu(), Dense(np.ones((2, 3)), np.zeros(2))], 2, 2)
     enc = build_disjunctive(net)
-    assert len(enc.sites) == 3
+    assert enc.layers == ((1, 3, 2),)
     assert enc.num_patterns() == 8
     assert len(list(enc.patterns())) == 8
 
@@ -130,7 +138,7 @@ def test_build_disjunctive_site_and_pattern_counts():
 def test_build_disjunctive_linear_only():
     net = Network([Dense(np.eye(2), np.zeros(2))], 2, 2)
     enc = build_disjunctive(net)
-    assert len(enc.sites) == 0
+    assert enc.layers == ()
     assert enc.num_patterns() == 1
     region = enc.instantiate(())
     assert region.constraints.shape == (0, 2)
@@ -140,27 +148,32 @@ def test_build_disjunctive_linear_only():
 def test_pattern_counts_with_pool():
     net = random_conv_pool_net(np.random.default_rng(2))
     enc = build_disjunctive(net)
-    relu_sites = [s for s in enc.sites if s.kind == "relu"]
-    pool_sites = [s for s in enc.sites if s.kind == "pool"]
-    assert len(relu_sites) == 8 and len(pool_sites) == 2
+    # conv -> relu (8 units) -> 2x2 pool (2 windows of 4) -> dense
+    assert enc.layers == ((1, 8, 2), (2, 2, 4))
     assert enc.num_patterns() == 2 ** 8 * 4 * 4
 
 
 def test_instantiating_seed_signature_reproduces_region():
+    # instantiate(region.pattern) gives extract_region's region bit for bit
     rng = np.random.default_rng(61)
     for make in (lambda: random_dense_relu_net(rng, [3, 5, 3]),
-                 lambda: random_conv_pool_net(rng)):
-        net = make()
-        seed = rng.normal(size=net.input_dim)
-        region = extract_region(net, seed)
-        enc = build_disjunctive(net)
-        again = enc.instantiate(region.signature)
-        assert np.array_equal(again.constraints, region.constraints)
-        assert np.array_equal(again.bias, region.bias)
-        assert np.array_equal(again.origin, region.origin)
-        assert again.signature == region.signature
-        assert np.array_equal(again.logits.coeffs, region.logits.coeffs)
-        assert np.array_equal(again.logits.bias, region.logits.bias)
+                 lambda: random_dense_relu_net(rng, [4, 6, 6, 5, 3]),
+                 lambda: random_conv_pool_net(rng),
+                 lambda: small_pool_net(rng)):
+        for _ in range(3):
+            net = make()
+            seed = rng.normal(size=net.input_dim)
+            region = extract_region(net, seed)
+            enc = build_disjunctive(net)
+            again = enc.instantiate(region.pattern)
+            for a, b in [(again.constraints, region.constraints), (again.bias, region.bias),
+                         (again.logits.coeffs, region.logits.coeffs),
+                         (again.logits.bias, region.logits.bias)]:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert enc.origin.shape == (len(region.constraints), 2)
+            assert _same_pattern(again.pattern, region.pattern)
+            assert [p.dtype.kind for p in region.pattern] == [
+                "b" if isinstance(net.layers[i], Relu) else "i" for i, _, _ in enc.layers]
 
 
 def test_classification_matches_constraint_satisfiability():
@@ -213,9 +226,58 @@ def test_region_rows_match_per_unit_construction():
             net = make()
             seed = rng.normal(size=net.input_dim)
             region = extract_region(net, seed)
+            origins = build_disjunctive(net).origin
             expected = _rows_one_unit_at_a_time(net, seed)
-            assert len(region.constraints) == len(expected)
+            assert len(region.constraints) == len(origins) == len(expected)
             for k, (coeffs, bias, origin) in enumerate(expected):
                 assert np.array_equal(region.constraints[k], coeffs)
                 assert region.bias[k] == bias
-                assert tuple(region.origin[k]) == origin
+                assert tuple(origins[k]) == origin
+
+
+def _per_unit_patterns(net):
+    """Every pattern flattened, in the order of itertools.product over one
+    choice per unit: (False, True) per ReLU unit, each position per pool
+    window."""
+    dims = net.layer_dims()
+    choices = []
+    for i, layer in enumerate(net.layers):
+        if isinstance(layer, Relu):
+            choices += [(False, True)] * dims[i]
+        elif isinstance(layer, MaxPool):
+            choices += [tuple(range(layer.windows.shape[1]))] * layer.windows.shape[0]
+    return list(product(*choices))
+
+
+def test_patterns_follow_per_unit_product_order():
+    # exact_robustness keeps the first strict minimum, so the order is part
+    # of its result
+    rng = np.random.default_rng(73)
+    for net in (random_dense_relu_net(rng, [2, 3, 2, 2]), small_pool_net(rng)):
+        enc = build_disjunctive(net)
+        patterns = list(enc.patterns())
+        flat = [tuple(v for layer in p for v in layer.tolist()) for p in patterns]
+        assert flat == _per_unit_patterns(net)
+        assert len(patterns) == enc.num_patterns() == len(set(flat))
+        for p in patterns:
+            assert len(enc.instantiate(p).constraints) == len(enc.origin)
+    assert len(patterns) == 2 ** 4 * 4
+
+
+@pytest.mark.parametrize("pattern, message", [
+    ((np.ones(4, dtype=bool),), "pattern has 1 layers, expected 2"),
+    ((np.ones(4, dtype=bool), [0], [0]), "pattern has 3 layers, expected 2"),
+    ((np.ones(5, dtype=bool), [0]), r"layer 1: pattern shape \(5,\), expected \(4,\)"),
+    ((np.ones(4, dtype=bool), [0, 0]), r"layer 2: pattern shape \(2,\), expected \(1,\)"),
+    ((np.ones(4, dtype=bool), [4]), r"layer 2: window position outside \[0, 4\)"),
+    ((np.ones(4, dtype=bool), [-1]), r"layer 2: window position outside \[0, 4\)")])
+def test_instantiate_rejects_malformed_patterns(monkeypatch, pattern, message):
+    enc = build_disjunctive(small_pool_net(np.random.default_rng(79)))
+    enc.instantiate((np.ones(4, dtype=bool), [3]))
+
+    def no_rows(*args):
+        raise AssertionError("rows built for a malformed pattern")
+
+    monkeypatch.setattr(encoder, "_propagate", no_rows)
+    with pytest.raises(ValueError, match=message):
+        enc.instantiate(pattern)

@@ -8,8 +8,7 @@ import scipy.optimize as scipy_opt
 import relucert
 from relucert import extract_region, lazy_solve, output_constraints, second_label
 from relucert import lp
-from relucert.lp import (LPProblem, SimplexError, linf_box_problem, scaled_constraints,
-                         simplex_solve)
+from relucert.lp import LPProblem, SimplexError, linf_box_problem, simplex_solve
 from relucert.robustness import rho_lower_bound
 from helpers import highs_min_eps, random_dense_relu_net
 
@@ -268,22 +267,22 @@ def _random_certification_instance(rng, dims=(2, 6, 3), domain=None, margin=0.0)
 
 
 def _eager_problem(seed, A, b, G, h):
-    """The whole min-epsilon LP in the generic form, every row present."""
+    """The whole min-epsilon LP in the generic form, every row present and
+    unit-scaled by lp._unit_rows, as lazy_solve scales its rows."""
     full = linf_box_problem(seed)
-    full.constraints += scaled_constraints(G, h, full.num_vars)
-    full.constraints += scaled_constraints(A, b, full.num_vars)
+    for rows, rhs in (lp._unit_rows(G, h), lp._unit_rows(A, b)):
+        for row, r in zip(rows, rhs):
+            full.add(np.append(row, 0.0), ">=", -r)
     return full
 
 
 def test_scaled_constraints_unit_max_rows():
     A = np.array([[2.0, -4.0], [0.0, 0.0], [0.5, 0.25]])
     b = np.array([1.0, 3.0, -1.0])
-    rows = scaled_constraints(A, b, 3)
-    assert [c.sense for c in rows] == [">=", ">=", ">="]
-    assert np.array_equal([c.a for c in rows], [[0.5, -1.0, 0.0], [0.0, 0.0, 0.0],
-                                                [1.0, 0.5, 0.0]])
+    rows, rhs = lp._unit_rows(A, b)
+    assert np.array_equal(rows, [[0.5, -1.0], [0.0, 0.0], [1.0, 0.5]])
     # a zero row keeps scale 1: 0 >= -3
-    assert [c.rhs for c in rows] == [-0.25, -3.0, 2.0]
+    assert (-rhs).tolist() == [-0.25, -3.0, 2.0]
 
 
 _NO_POOL = (np.zeros((0, 1)), np.zeros(0))

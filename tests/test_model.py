@@ -188,6 +188,55 @@ def test_load_model_rejects_nan(tmp_path):
         load_model(path)
 
 
+# every size load_model reads, as (layer or None for the document, field,
+# list index or None), on random_conv_pool_net: conv 0, relu 1, pool 2, dense 3
+_SIZE_FIELDS = [(None, "input_dim", None), (None, "num_labels", None),
+                (0, "stride", None), (0, "padding", None),
+                (0, "input_shape", 0), (0, "input_shape", 1), (0, "input_shape", 2),
+                (2, "window", 0), (2, "window", 1), (2, "stride", None),
+                (2, "input_shape", 0), (2, "input_shape", 1), (2, "input_shape", 2)]
+
+
+def _write_with_size(tmp_path, net, where, change):
+    """Save net, then replace one size field by change(old value)."""
+    layer, field, k = where
+    path = tmp_path / "model.json"
+    save_model(net, path)
+    doc = json.loads(path.read_text())
+    obj = doc if layer is None else doc["layers"][layer]
+    if k is None:
+        obj[field] = change(obj[field])
+    else:
+        obj[field][k] = change(obj[field][k])
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("where", _SIZE_FIELDS, ids=lambda w: "-".join(map(str, w)))
+@pytest.mark.parametrize("change", [lambda v: v + 0.7, lambda v: True, lambda v: str(v)],
+                         ids=["fraction", "bool", "string"])
+def test_load_model_rejects_non_integral_sizes(tmp_path, where, change):
+    # int() would load 2.7 as 2, true as 1 and "3" as 3: a different network
+    net = random_conv_pool_net(np.random.default_rng(4))
+    layer, field, k = where
+    path = _write_with_size(tmp_path, net, where, change)
+    name = field if k is None else f"{field}[{k}]"
+    prefix = "" if layer is None else f"layer {layer}: "
+    bad = json.loads(path.read_text())
+    bad = bad if layer is None else bad["layers"][layer]
+    bad = bad[field] if k is None else bad[field][k]
+    with pytest.raises(ModelError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{prefix}{name}: expected an integer, got {bad!r}"
+
+
+@pytest.mark.parametrize("where", _SIZE_FIELDS, ids=lambda w: "-".join(map(str, w)))
+def test_load_model_accepts_integral_float_sizes(tmp_path, where):
+    net = random_conv_pool_net(np.random.default_rng(4))
+    path = _write_with_size(tmp_path, net, where, float)
+    assert networks_equal(load_model(path), net)
+
+
 def test_load_model_invalid_json(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")

@@ -10,7 +10,7 @@ from relucert import (Dense, Network, Relu, build_disjunctive, classify,
 from relucert import oracle
 from relucert.encoder import output_constraints
 from relucert.lp import ITERATION_LIMIT, LazyStats, LPSolution, SimplexError
-from helpers import highs_min_eps, random_conv_pool_net, random_dense_relu_net
+from helpers import highs_min_eps, random_conv_pool_net, random_dense_relu_net, small_pool_net
 
 
 def test_exact_on_linear_three_label(gradient_trap_net):
@@ -70,7 +70,7 @@ def test_pattern_robustness_matches_seed_region_estimate():
         net = random_dense_relu_net(rng, [2, 5, 3])
         seed = rng.normal(size=2)
         region = extract_region(net, seed)
-        rho, _, _ = pattern_robustness(net, seed, region.signature)
+        rho, _, _ = pattern_robustness(net, seed, region.pattern)
         record = pointwise_robustness(net, seed, targets="all")
         if math.isfinite(rho) or math.isfinite(record.rho_hat):
             assert record.rho_hat == pytest.approx(rho, abs=1e-6)
@@ -156,22 +156,10 @@ def test_pattern_total_formula():
     assert exact_robustness(small, np.zeros(2)).patterns_total == 8
 
 
-def _small_pool_net(rng):
-    """conv 2x2 on a 3x3 input -> relu -> 2x2 max-pool -> dense to 2 labels:
-    2**4 relu patterns times 4 pool winners."""
-    from relucert import Conv, MaxPool
-
-    conv = Conv(rng.normal(scale=0.6, size=(1, 1, 2, 2)), rng.normal(size=1),
-                stride=1, padding=0, input_shape=(1, 3, 3))
-    layers = [conv, Relu(), MaxPool((2, 2), 2, input_shape=(1, 2, 2)),
-              Dense(rng.normal(size=(2, 1)), rng.normal(size=2))]
-    return Network(layers, 9, 2)
-
-
 def test_exact_sandwich_on_small_pool_net():
     rng = np.random.default_rng(211)
     for _ in range(3):
-        net = _small_pool_net(rng)
+        net = small_pool_net(rng)
         seed = rng.normal(size=9)
         exact = exact_robustness(net, seed)
         assert exact.patterns_total == 2 ** 4 * 4
@@ -216,7 +204,7 @@ def _cross_check_nets():
     rng = np.random.default_rng(263)
     nets = [(random_dense_relu_net(rng, [2, 3, 3]), rng.normal(size=2)) for _ in range(4)]
     rng = np.random.default_rng(211)  # the first net of the sandwich test above
-    return nets + [(_small_pool_net(rng), rng.normal(size=9))]
+    return nets + [(small_pool_net(rng), rng.normal(size=9))]
 
 
 @pytest.mark.parametrize("net, seed", _cross_check_nets(),
@@ -238,7 +226,7 @@ def test_oracle_agrees_with_highs_on_every_pattern(net, seed):
         refs = [highs_min_eps(seed, A, b, *output_constraints(region, t))
                 for t in range(net.num_labels) if t != label]
         expected = min((r for r in refs if r is not None), default=math.inf)
-        rho, _, _ = pattern_robustness(net, seed, pattern, encoding)
+        rho, _, _ = pattern_robustness(net, seed, pattern)
         if expected == math.inf:
             assert rho == math.inf
         else:
