@@ -15,7 +15,7 @@ from .encoder import (DisjunctiveEncoding, LinearRegion, build_disjunctive,
                       extract_region, output_constraints)
 from .lp import LazyStats, LPSolution, SimplexError, lazy_solve
 from .metrics import RobustnessCurve, RobustnessStats, compute_curve, compute_stats
-from .model import (Conv, DatasetError, Dense, LabeledPoint, MaxPool, ModelError,
+from .model import (Conv, Dataset, DatasetError, Dense, LabeledPoint, MaxPool, ModelError,
                     Network, Relu, classify, forward, forward_batch, load_dataset,
                     load_model, networks_equal, save_model, second_label)
 from .oracle import (ExactResult, exact_robustness, grid_robustness,

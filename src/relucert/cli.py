@@ -167,7 +167,7 @@ def cmd_certify(args) -> int:
         print("warning: empty dataset, writing empty report", file=sys.stderr)
         open(args.out, "w").close()
         return EXIT_OK
-    items = [(i, p.x) for i, p in enumerate(points)]
+    items = enumerate(points.X)
     initargs = (net, args.target, args.margin, args.domain_bounds)
     failed = 0
     with ExitStack() as stack:
@@ -183,7 +183,7 @@ def cmd_certify(args) -> int:
             out.write(json.dumps(obj) + "\n")
             failed += "error" in obj
     if failed:
-        print(f"solver error: {failed} of {len(items)} points failed", file=sys.stderr)
+        print(f"solver error: {failed} of {len(points)} points failed", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK
 
@@ -231,8 +231,8 @@ def cmd_attack(args) -> int:
     with open(args.out, "w") as fh:
         header = ["index", "rho", "rounded_ok"] + [f"x_{j}" for j in range(net.input_dim)]
         fh.write(",".join(header) + "\n")
-        for i, p in enumerate(points):
-            record = pointwise_robustness(net, p.x, targets="second",
+        for i, x in enumerate(points.X):
+            record = pointwise_robustness(net, x, targets="second",
                                           margin=args.alpha, seed_index=i)
             if not record.found:
                 fh.write(",".join([str(i), "none", ""] + [""] * net.input_dim) + "\n")
@@ -262,8 +262,8 @@ def cmd_exact(args) -> int:
     points = _load_points(args, net)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
-        for i, p in enumerate(points):
-            result = exact_robustness(net, p.x, max_sites=args.max_sites)
+        for i, x in enumerate(points.X):
+            result = exact_robustness(net, x, max_sites=args.max_sites)
             obj = {
                 "index": i,
                 "rho": result.rho if np.isfinite(result.rho) else None,

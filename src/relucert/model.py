@@ -9,6 +9,7 @@ flat affine maps / index windows.
 from __future__ import annotations
 
 import gzip
+import itertools
 import json
 import struct
 from dataclasses import dataclass
@@ -26,6 +27,19 @@ class ModelError(ValueError):
 
 class DatasetError(ValueError):
     """Malformed dataset file or out-of-range value."""
+
+
+def _as_int(value, field: str) -> int:
+    """An integral number (2, 2.0 or a NumPy integer) as an int; 2.7, True or
+    "3" raise ModelError naming field."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            or isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        raise ModelError(f"{field}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _as_ints(values, field: str) -> tuple[int, ...]:
+    return tuple(_as_int(v, f"{field}[{k}]") for k, v in enumerate(values))
 
 
 def _float_array(value, ndim, what):
@@ -79,11 +93,13 @@ class Conv:
     input_shape: tuple[int, int, int]
 
     def __post_init__(self):
+        object.__setattr__(self, "stride", _as_int(self.stride, "stride"))
+        object.__setattr__(self, "padding", _as_int(self.padding, "padding"))
+        object.__setattr__(self, "input_shape", _as_ints(self.input_shape, "input_shape"))
         k = _float_array(self.kernel, 4, "conv kernel")
         b = _float_array(self.bias, 1, "conv bias")
         object.__setattr__(self, "kernel", k)
         object.__setattr__(self, "bias", b)
-        object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
         if len(self.input_shape) != 3:
             raise ModelError("conv input_shape must be (channels, height, width)")
         if b.shape[0] != k.shape[0]:
@@ -150,8 +166,9 @@ class MaxPool:
     input_shape: tuple[int, int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "window", tuple(int(d) for d in self.window))
-        object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
+        object.__setattr__(self, "window", _as_ints(self.window, "window"))
+        object.__setattr__(self, "stride", _as_int(self.stride, "stride"))
+        object.__setattr__(self, "input_shape", _as_ints(self.input_shape, "input_shape"))
         if len(self.window) != 2 or min(self.window) < 1:
             raise ModelError("pool window must be (wh, ww) with positive entries")
         if self.stride < 1:
@@ -219,6 +236,8 @@ class Network:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "input_dim", _as_int(self.input_dim, "input_dim"))
+        object.__setattr__(self, "num_labels", _as_int(self.num_labels, "num_labels"))
         if not self.layers:
             raise ModelError("network needs at least one layer")
         if self.input_dim < 1 or self.num_labels < 1:
@@ -282,13 +301,19 @@ def classify(net: Network, x: np.ndarray) -> int:
     return int(np.argmax(forward(net, x)))
 
 
+def _runner_up(logits: np.ndarray, label: int) -> int:
+    """Index of the largest logit other than logits[label], ties broken by
+    lowest index."""
+    j = int(np.argmax(np.delete(logits, label)))
+    return j + (j >= label)
+
+
 def second_label(net: Network, x: np.ndarray) -> int:
     """Index of the second-largest logit, ties broken by lowest index."""
     if net.num_labels < 2:
         raise ValueError("second_label needs at least two labels")
     logits = forward(net, x)
-    order = sorted(range(net.num_labels), key=lambda j: (-logits[j], j))
-    return order[1]
+    return _runner_up(logits, int(np.argmax(logits)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,31 +339,18 @@ def _layer_to_json(layer: Layer) -> dict:
             "input_shape": list(layer.input_shape)}
 
 
-def _json_int(value, field: str) -> int:
-    """An integral JSON number (2 or 2.0) as an int; 2.7, true or "3" raise."""
-    if not (type(value) is int or type(value) is float and value.is_integer()):
-        raise ModelError(f"{field}: expected an integer, got {value!r}")
-    return int(value)
-
-
-def _json_ints(values, field: str) -> tuple[int, ...]:
-    return tuple(_json_int(v, f"{field}[{k}]") for k, v in enumerate(values))
-
-
 def _layer_from_json(obj: dict, index: int) -> Layer:
     try:
         kind = obj["type"]
         if kind == "dense":
             return Dense(obj["weights"], obj["bias"])
         if kind == "conv":
-            return Conv(obj["kernel"], obj["bias"], _json_int(obj["stride"], "stride"),
-                        _json_int(obj["padding"], "padding"),
-                        _json_ints(obj["input_shape"], "input_shape"))
+            return Conv(obj["kernel"], obj["bias"], obj["stride"], obj["padding"],
+                        obj["input_shape"])
         if kind == "relu":
             return Relu()
         if kind == "maxpool":
-            return MaxPool(_json_ints(obj["window"], "window"), _json_int(obj["stride"], "stride"),
-                           _json_ints(obj["input_shape"], "input_shape"))
+            return MaxPool(obj["window"], obj["stride"], obj["input_shape"])
         raise ModelError(f"unknown layer type {kind!r}")
     except (KeyError, TypeError, ValueError) as exc:  # ModelError is a ValueError
         raise ModelError(f"layer {index}: {exc}") from None
@@ -368,8 +380,7 @@ def load_model(path) -> Network:
     try:
         layers = [_layer_from_json(obj, i) for i, obj in enumerate(doc["layers"])]
         domain = doc.get("input_domain")
-        return Network(layers, _json_int(doc["input_dim"], "input_dim"),
-                       _json_int(doc["num_labels"], "num_labels"),
+        return Network(layers, doc["input_dim"], doc["num_labels"],
                        tuple(domain) if domain else None)
     except ModelError:
         raise
@@ -392,37 +403,60 @@ class LabeledPoint:
         object.__setattr__(self, "label", int(self.label))
 
 
-# Lines are read in blocks of about this many bytes, so the loader holds about
-# one block of text beyond the points it returns.
-_CSV_BLOCK_BYTES = 1 << 18
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Labeled points as arrays: row i of X (N x input_dim, float64) has the
+    ground-truth label labels[i] (N ints).
+
+    ds[i] is row i as a LabeledPoint whose x is a view into X; a slice (or an
+    index array) gives a Dataset. Iterating yields the rows as LabeledPoints.
+    """
+
+    X: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self):
+        X = np.asarray(self.X, dtype=float)
+        labels = np.asarray(self.labels, dtype=int)
+        if X.ndim != 2 or labels.shape != X.shape[:1]:
+            raise ValueError(f"X of shape {X.shape} and labels of shape {labels.shape},"
+                             " expected (N, input_dim) and (N,)")
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "labels", labels)
+
+    def __len__(self):
+        return len(self.labels)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return LabeledPoint(self.X[index], self.labels[index])
+        return Dataset(self.X[index], self.labels[index])
+
+    def __iter__(self):
+        return map(LabeledPoint, self.X, self.labels.tolist())
 
 
-def _rows_error(rows, lines, linenos, input_dim, num_labels, input_domain):
-    """DatasetError for the first parsed row (label, features...) that fails
-    a check, naming on that row the first failing check in the order integer
-    label, feature count, label range, finite features, domain; None when
-    every row passes."""
+def _row_checks(rows, input_dim, num_labels, input_domain):
+    """The checks on parsed rows (label, features...), in the order integer
+    label, feature count, label range, finite features, domain: one (mask of
+    the rows that fail it, message(i, line) for failing row i) pair each.
+    Without num_labels a label must fit an int64."""
     labels, x = rows[:, 0], rows[:, 1:]
+    low, high = (0, num_labels) if num_labels is not None else (-2**63, 2**63)
     checks = [
         (~np.isfinite(labels) | (labels != np.trunc(labels)),
-         lambda i: f"non-integer label {lines[i].strip().split(',')[0]!r}"),
+         lambda i, line: f"non-integer label {line.strip().split(',')[0]!r}"),
         (np.full(len(rows), x.shape[1] != input_dim),
-         lambda i: f"expected {input_dim} features, got {x.shape[1]}"),
+         lambda i, line: f"expected {input_dim} features, got {x.shape[1]}"),
+        ((labels < low) | (labels >= high),
+         lambda i, line: f"label {int(labels[i])} out of range [{low}, {high})"),
+        (~np.isfinite(x).all(axis=1), lambda i, line: "non-finite feature"),
     ]
-    if num_labels is not None:
-        checks.append(((labels < 0) | (labels >= num_labels),
-                       lambda i: f"label {int(labels[i])} out of range [0, {num_labels})"))
-    checks.append((~np.isfinite(x).all(axis=1), lambda i: "non-finite feature"))
     if input_domain is not None and x.shape[1]:
         lo, hi = input_domain
         checks.append(((x.min(axis=1) < lo) | (x.max(axis=1) > hi),
-                       lambda i: f"feature outside domain [{lo}, {hi}]"))
-    bad = np.logical_or.reduce([mask for mask, _ in checks])
-    if not bad.any():
-        return None
-    i = int(bad.argmax())
-    message = next(message for mask, message in checks if mask[i])
-    return DatasetError(f"line {linenos[i]}: {message(i)}")
+                       lambda i, line: f"feature outside domain [{lo}, {hi}]"))
+    return checks
 
 
 def _c_float(token):
@@ -433,46 +467,45 @@ def _c_float(token):
     return float(token)
 
 
-def _block_error(lines, linenos, input_dim, num_labels, input_domain, reason):
-    """DatasetError for the first bad line of a block that np.loadtxt
-    rejected, checking its lines one at a time in file order."""
-    for line, lineno in zip(lines, linenos):
-        try:
-            row = np.array([[_c_float(t) for t in line.strip().split(",")]])
-        except ValueError as exc:
-            return DatasetError(f"line {lineno}: {exc}")
-        if input_dim is None:
-            input_dim = row.shape[1] - 1
-        error = _rows_error(row, [line], [lineno], input_dim, num_labels, input_domain)
-        if error is not None:
-            return error
-    return DatasetError(f"lines {linenos[0]}-{linenos[-1]}: {reason}")
+def _line_error(path, input_dim, num_labels, input_domain, reason):
+    """DatasetError for the first line of a CSV file that np.loadtxt or the
+    checks rejected, reading the file again one line at a time."""
+    first = last = None
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            first = first or lineno
+            last = lineno
+            try:
+                row = np.array([[_c_float(t) for t in line.strip().split(",")]])
+            except ValueError as exc:
+                return DatasetError(f"line {lineno}: {exc}")
+            if input_dim is None:
+                input_dim = row.shape[1] - 1
+            for bad, message in _row_checks(row, input_dim, num_labels, input_domain):
+                if bad[0]:
+                    return DatasetError(f"line {lineno}: {message(0, line)}")
+    return DatasetError(f"lines {first}-{last}: {reason}")
 
 
 def _load_csv(path, input_dim, num_labels, input_domain):
-    points = []
-    start = 1
     with open(path) as fh:
-        while lines := fh.readlines(_CSV_BLOCK_BYTES):
-            linenos = np.arange(start, start + len(lines))
-            start += len(lines)
-            if any(map(str.isspace, lines)):
-                keep = [i for i, line in enumerate(lines) if not line.isspace()]
-                lines, linenos = [lines[i] for i in keep], linenos[keep]
-                if not lines:
-                    continue
-            try:
-                rows = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
-            except ValueError as exc:
-                raise _block_error(lines, linenos, input_dim, num_labels, input_domain,
-                                   exc) from None
-            if input_dim is None:
-                input_dim = rows.shape[1] - 1
-            error = _rows_error(rows, lines, linenos, input_dim, num_labels, input_domain)
-            if error is not None:
-                raise error
-            points.extend(map(LabeledPoint, rows[:, 1:], rows[:, 0].tolist()))
-    return points
+        lines = (line for line in fh if not line.isspace())
+        first = next(lines, None)
+        if first is None:
+            return Dataset(np.empty((0, input_dim or 0)), np.empty(0, dtype=int))
+        try:
+            rows = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2,
+                              comments=None)
+        except ValueError as exc:
+            raise _line_error(path, input_dim, num_labels, input_domain, exc) from None
+    if input_dim is None:
+        input_dim = rows.shape[1] - 1
+    checks = _row_checks(rows, input_dim, num_labels, input_domain)
+    if np.logical_or.reduce([bad for bad, _ in checks]).any():
+        raise _line_error(path, input_dim, num_labels, input_domain, "a row fails a check")
+    return Dataset(rows[:, 1:], rows[:, 0].astype(int))
 
 
 def _open_maybe_gzip(path):
@@ -513,31 +546,34 @@ def _load_idx(path, labels_path, input_dim, num_labels, input_domain):
     if input_domain is not None:
         lo, hi = input_domain
         images = lo + images * (hi - lo) / 255.0
-    points = []
-    for i in range(count):
-        label = int(labels[i])
-        if num_labels is not None and not 0 <= label < num_labels:
-            raise DatasetError(f"item {i}: label {label} out of range [0, {num_labels})")
-        points.append(LabeledPoint(images[i], label))
-    return points
+    if num_labels is not None:
+        bad = np.flatnonzero(labels >= num_labels)
+        if len(bad):
+            raise DatasetError(f"item {bad[0]}: label {labels[bad[0]]} out of range"
+                               f" [0, {num_labels})")
+    return Dataset(images, labels.astype(int))
 
 
 def load_dataset(path, fmt="csv", *, labels_path=None, input_dim=None,
-                 num_labels=None, input_domain=None) -> list[LabeledPoint]:
-    """Load labeled points from a CSV (label, features...) or an IDX image/label pair.
+                 num_labels=None, input_domain=None) -> Dataset:
+    """Load labeled points from a CSV (label, features...) or an IDX image/label
+    pair as a Dataset: X (N x input_dim, float64) and labels (N ints).
 
-    CSV lines are parsed in blocks by NumPy's C parser, which converts each
-    token exactly as float() does except that it rejects digit-group
-    underscores ("1_0") and non-ASCII digits. Blank and whitespace-only lines
-    are skipped. Labels must be finite integers and features finite; the
-    feature count must be input_dim (by default that of the first line), the
-    label in [0, num_labels) and every feature in input_domain when these are
-    given. A violation raises DatasetError naming the first bad line in the
-    file, with the first check it fails in that order.
+    A CSV file is parsed in one pass into one array by NumPy's C parser, which
+    converts each token exactly as float() does except that it rejects
+    digit-group underscores ("1_0") and non-ASCII digits. Blank and
+    whitespace-only lines are skipped; a file without rows gives an empty
+    Dataset. Labels must be finite integers and features finite; the feature
+    count must be input_dim (by default that of the first line), the label in
+    [0, num_labels) (in the int64 range without num_labels) and every feature
+    in input_domain when these are given. A violation raises DatasetError
+    naming the first bad line in the file, with the first check it fails in
+    that order.
 
     IDX pixel data (0-255) is rescaled linearly onto input_domain when one is
     declared; otherwise raw byte values are kept. An IDX image whose pixel
-    count is not input_dim raises DatasetError.
+    count is not input_dim, or a label outside [0, num_labels), raises
+    DatasetError.
     """
     if fmt == "csv":
         return _load_csv(path, input_dim, num_labels, input_domain)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .encoder import extract_region, output_constraints
 from .lp import INFEASIBLE, OPTIMAL, LazyStats, SimplexError, lazy_solve
-from .model import Network, classify, second_label
+from .model import Network, _runner_up, classify, forward
 
 INFINITE_RHO = math.inf
 
@@ -132,9 +132,10 @@ def pointwise_robustness(net: Network, seed, targets="second", margin: float = 0
         raise ValueError(f"seed shape {seed.shape}, expected ({net.input_dim},)")
     if net.num_labels < 2:
         raise ValueError("certification needs at least two labels")
-    label = classify(net, seed)
+    logits = forward(net, seed)
+    label = int(np.argmax(logits))
     if targets == "second":
-        candidates = [second_label(net, seed)]
+        candidates = [_runner_up(logits, label)]
     elif targets == "all":
         candidates = [t for t in range(net.num_labels) if t != label]
     else:
@@ -147,8 +148,11 @@ def pointwise_robustness(net: Network, seed, targets="second", margin: float = 0
 
     domain = net.input_domain if respect_domain else None
     region = extract_region(net, seed)
-    bounds = target_lower_bounds(region, seed, candidates, margin)
-    order = sorted(zip(bounds.tolist(), candidates))
+    if len(candidates) == 1:
+        order = [(0.0, candidates[0])]  # the first target is always solved
+    else:
+        bounds = target_lower_bounds(region, seed, candidates, margin)
+        order = sorted(zip(bounds.tolist(), candidates))
     best = RobustnessRecord(seed_index, label, candidates[0] if len(candidates) == 1 else None,
                             INFINITE_RHO)
     solved = []

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Dense, LabeledPoint, Network, Relu, classify, forward_batch
+from .model import Dataset, Dense, Network, Relu, classify, forward_batch
 from .robustness import extract_adversarial, pointwise_robustness
 from .lp import SimplexError
 
@@ -102,13 +102,12 @@ def input_gradient(net: Network, x, label: int) -> np.ndarray:
     return grad.input[0]
 
 
-def train(net: Network, data, cfg: TrainConfig) -> Network:
+def train(net: Network, data: Dataset, cfg: TrainConfig) -> Network:
     """SGD on dense-ReLU networks; deterministic given cfg.seed."""
     _check_trainable(net)
     if not data:
         raise ValueError("empty training set")
-    X = np.stack([p.x for p in data]).astype(float)
-    y = np.array([p.label for p in data], dtype=int)
+    X, y = data.X, data.labels
     layers = [Dense(layer.weights.copy(), layer.bias.copy()) if isinstance(layer, Dense)
               else layer for layer in net.layers]
     rng = np.random.default_rng(cfg.seed)
@@ -125,10 +124,10 @@ def train(net: Network, data, cfg: TrainConfig) -> Network:
     return Network(layers, net.input_dim, net.num_labels, net.input_domain)
 
 
-def accuracy(net: Network, data) -> float:
-    X = np.stack([p.x for p in data])
-    y = np.array([p.label for p in data])
-    return float((np.argmax(forward_batch(net, X), axis=1) == y).mean())
+def accuracy(net: Network, data: Dataset) -> float:
+    if not data:
+        raise ValueError("empty dataset")
+    return float((np.argmax(forward_batch(net, data.X), axis=1) == data.labels).mean())
 
 
 def fgsm(net: Network, x, epsilon: float) -> np.ndarray:
@@ -174,7 +173,7 @@ def _fgsm_attack(epsilon: float, round_integers: bool):
     return attack
 
 
-def finetune(net: Network, train_data, cfg: TrainConfig, attack="lp",
+def finetune(net: Network, train_data: Dataset, cfg: TrainConfig, attack="lp",
              alpha: float = 3.0, fgsm_epsilon: float | None = None,
              round_integers: bool = False) -> Network:
     """Continued training on adversarially augmented data, cfg.rounds times.
@@ -197,14 +196,17 @@ def finetune(net: Network, train_data, cfg: TrainConfig, attack="lp",
 
     tuned_cfg = replace(cfg, learning_rate=cfg.learning_rate * cfg.finetune_lr_scale)
     current = net
-    augmented = list(train_data)
+    augmented = train_data
     for round_index in range(cfg.rounds):
-        fresh = []
+        rows, labels = [], []
         for point in train_data:
             x_adv = generate(current, point)
             if x_adv is not None:
-                fresh.append(LabeledPoint(x_adv, point.label))
-        log.info("round %d: %d adversarial examples", round_index + 1, len(fresh))
-        augmented = augmented + fresh
+                rows.append(x_adv)
+                labels.append(point.label)
+        log.info("round %d: %d adversarial examples", round_index + 1, len(rows))
+        if rows:
+            augmented = Dataset(np.vstack([augmented.X, rows]),
+                                np.concatenate([augmented.labels, labels]))
         current = train(current, augmented, tuned_cfg)
     return current

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from relucert import Conv, Dense, LabeledPoint, MaxPool, Network, Relu
+from relucert import Conv, Dataset, Dense, LabeledPoint, MaxPool, Network, Relu
 
 
 def naive_forward(net, x):
@@ -92,13 +92,12 @@ def small_pool_net(rng):
 
 
 def blobs(rng, count_per_class, std=0.45, centers=((-1.0, -1.0), (1.0, 1.0))):
-    """Two separable Gaussian blobs in the plane."""
-    points = []
-    for label, center in enumerate(centers):
-        samples = rng.normal(loc=center, scale=std, size=(count_per_class, 2))
-        points.extend(LabeledPoint(s, label) for s in samples)
-    order = rng.permutation(len(points))
-    return [points[i] for i in order]
+    """Two separable Gaussian blobs in the plane, as a shuffled Dataset."""
+    X = np.vstack([rng.normal(loc=center, scale=std, size=(count_per_class, 2))
+                   for center in centers])
+    labels = np.repeat(np.arange(len(centers)), count_per_class)
+    order = rng.permutation(len(labels))
+    return Dataset(X[order], labels[order])
 
 
 # Fixed 2-D benchmark for the fine-tuning and attack-comparison runs: one
@@ -204,7 +203,7 @@ def highs_min_eps(seed, A, b, G, h, domain=None):
 
 
 def reference_load_csv(path, input_dim=None, num_labels=None, input_domain=None):
-    """The per-line CSV loader that load_dataset's block loader replaced: one
+    """The per-line CSV loader that load_dataset's array loader replaced: one
     float() per token and the checks of each line in turn. Reference for the
     parity tests on files without non-finite values or underscored tokens."""
     from relucert import DatasetError

@@ -209,7 +209,7 @@ def test_attack_outputs_verified_adversarials(tmp_path, toy_setup):
     assert header[:3] == ["index", "rho", "rounded_ok"]
     rows = [line.split(",") for line in lines[1:]]
     pts = [np.array([float(v) for v in row[3:]]) for row in rows if row[1] != "none"]
-    originals = [line.split(",") for line in open(data)]
+    originals = [line.split(",") for line in data.read_text().splitlines()]
     for row, x_adv in zip((r for r in rows if r[1] != "none"), pts):
         seed_x = np.array([float(v) for v in originals[int(row[0])][1:]])
         seed_label = classify(net, seed_x)

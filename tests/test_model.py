@@ -3,16 +3,15 @@ import json
 import math
 import struct
 import warnings
-from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relucert import model
-from relucert import (Conv, DatasetError, Dense, MaxPool, ModelError, Network, Relu,
-                      classify, forward, forward_batch, load_dataset, load_model,
-                      networks_equal, save_model, second_label)
+from relucert import (Conv, Dataset, DatasetError, Dense, LabeledPoint, MaxPool, ModelError,
+                      Network, Relu, classify, forward, forward_batch, load_dataset,
+                      load_model, networks_equal, save_model, second_label)
 from helpers import (naive_forward, random_conv_pool_net, random_dense_relu_net,
                      reference_load_csv)
 
@@ -89,6 +88,20 @@ def test_second_label(gradient_trap_net):
     assert second_label(gradient_trap_net, np.array([0.0])) == 1
     tie_net = Network([Dense(np.array([[1.0], [1.0], [0.2]]), np.zeros(3))], 1, 3)
     assert second_label(tie_net, np.array([5.0])) == 1  # max tie at 0 and 1
+
+
+def test_second_label_matches_sorted_rule_on_ties():
+    # logits from a small set of values, so that ties are common
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        logits = rng.choice([-1e308, -1.0, 0.0, 2.0], size=rng.integers(2, 6))
+        net = Network([Dense(np.eye(len(logits)), np.zeros(len(logits)))], len(logits),
+                      len(logits))
+        order = sorted(range(len(logits)), key=lambda j: (-logits[j], j))
+        assert second_label(net, logits) == order[1]
+    # every other logit -inf: the runner-up is the lowest other index
+    assert model._runner_up(np.array([-np.inf, -np.inf, 5.0]), 2) == 0
+    assert model._runner_up(np.array([5.0, -np.inf, -np.inf]), 0) == 1
 
 
 def test_classify_invariant_under_logit_shift():
@@ -237,6 +250,35 @@ def test_load_model_accepts_integral_float_sizes(tmp_path, where):
     assert networks_equal(load_model(path), net)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: MaxPool((1.5, 1.2), 1, (1, 3.7, 3)), "window[0]: expected an integer, got 1.5"),
+    (lambda: MaxPool((2, 2), 1, (1, 3.7, 3)), "input_shape[1]: expected an integer, got 3.7"),
+    (lambda: MaxPool((2, 2), True, (1, 3, 3)), "stride: expected an integer, got True"),
+    (lambda: Conv(np.ones((1, 1, 2, 2)), np.zeros(1), 1.9, 0.5, (1, 3, 3)),
+     "stride: expected an integer, got 1.9"),
+    (lambda: Conv(np.ones((1, 1, 2, 2)), np.zeros(1), 1, 0.5, (1, 3, 3)),
+     "padding: expected an integer, got 0.5"),
+    (lambda: Conv(np.ones((1, 1, 2, 2)), np.zeros(1), 1, 0, (1, "3", 3)),
+     "input_shape[1]: expected an integer, got '3'"),
+    (lambda: Network([Dense(np.eye(2), np.zeros(2))], 2.5, 2),
+     "input_dim: expected an integer, got 2.5"),
+], ids=["pool-window", "pool-shape", "pool-stride", "conv-stride", "conv-padding",
+        "conv-shape", "network-input-dim"])
+def test_layers_built_in_python_reject_non_integral_sizes(build, message):
+    with pytest.raises(ModelError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_layers_built_in_python_store_integral_sizes_as_ints():
+    conv = Conv(np.ones((1, 1, 2, 2)), np.zeros(1), np.int64(1), 0.0, (np.int32(1), 3.0, 3))
+    pool = MaxPool((2.0, np.int64(2)), 1.0, conv.output_shape)
+    sizes = (conv.stride, conv.padding, *conv.input_shape, *pool.window, pool.stride,
+             *pool.input_shape, conv.out_dim, pool.out_dim)
+    assert sizes == (1, 0, 1, 3, 3, 2, 2, 1, 1, 2, 2, 4, 1)
+    assert all(type(size) is int for size in sizes)
+
+
 def test_load_model_invalid_json(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
@@ -299,8 +341,14 @@ def test_load_csv_without_rows_is_empty_and_silent(tmp_path, text):
     path.write_bytes(text.encode())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert load_dataset(path, "csv", input_dim=2, num_labels=3,
-                            input_domain=(0.0, 1.0)) == []
+        points = load_dataset(path, "csv", input_dim=2, num_labels=3,
+                              input_domain=(0.0, 1.0))
+        unsized = load_dataset(path, "csv")
+    assert isinstance(points, Dataset) and not points and list(points) == []
+    assert points.X.shape == (0, 2) and unsized.X.shape == (0, 0)
+    for empty in (points, unsized):
+        assert empty.X.dtype == float
+        assert empty.labels.shape == (0,) and empty.labels.dtype == int
 
 
 _FAULTS = ["token", "empty", "ragged", "fraction", "range", "domain"]
@@ -359,12 +407,12 @@ _LABELS_AND_DOMAIN = {"input_dim": None, "num_labels": 2, "input_domain": (-1.0,
 
 
 @settings(max_examples=200, deadline=None)
-@given(csv_files(), st.sampled_from([1, 40, 1 << 18]))
-@example(("0,0.5\n0,1.5\n7,0.5\n", _LABELS_AND_DOMAIN), 1 << 18)
-@example(("0,0.5\n7,1.5\n", _LABELS_AND_DOMAIN), 1 << 18)
-@example(("0,0.5\n0.5,9,1.5\n", _LABELS_AND_DOMAIN), 1 << 18)
-@example(("0\n", {"input_dim": None, "num_labels": None, "input_domain": (-1.0, 1.0)}), 1)
-def test_load_csv_matches_per_line_reference(tmp_path_factory, case, block_bytes):
+@given(csv_files())
+@example(("0,0.5\n0,1.5\n7,0.5\n", _LABELS_AND_DOMAIN))
+@example(("0,0.5\n7,1.5\n", _LABELS_AND_DOMAIN))
+@example(("0,0.5\n0.5,9,1.5\n", _LABELS_AND_DOMAIN))
+@example(("0\n", {"input_dim": None, "num_labels": None, "input_domain": (-1.0, 1.0)}))
+def test_load_csv_matches_per_line_reference(tmp_path_factory, case):
     text, kwargs = case
     path = tmp_path_factory.getbasetemp() / "parity.csv"
     path.write_bytes(text.encode())
@@ -372,7 +420,7 @@ def test_load_csv_matches_per_line_reference(tmp_path_factory, case, block_bytes
         expected = reference_load_csv(path, **kwargs)
     except DatasetError as exc:
         expected = exc
-    with patch.object(model, "_CSV_BLOCK_BYTES", block_bytes), warnings.catch_warnings():
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
         if isinstance(expected, DatasetError):
             with pytest.raises(DatasetError) as raised:
@@ -380,9 +428,66 @@ def test_load_csv_matches_per_line_reference(tmp_path_factory, case, block_bytes
             assert str(raised.value) == str(expected)
             return
         points = load_dataset(path, "csv", **kwargs)
-    assert [p.label for p in points] == [p.label for p in expected]
-    assert all(type(p.label) is int for p in points)
-    assert [p.x.tobytes() for p in points] == [p.x.tobytes() for p in expected]
+    assert isinstance(points, Dataset) and points.X.dtype == float and points.labels.dtype == int
+    assert points.labels.tolist() == [p.label for p in expected]
+    assert points.X.tobytes() == b"".join(p.x.tobytes() for p in expected)
+    assert points.X.shape == (len(expected), expected[0].x.size if expected else 0)
+
+
+@pytest.mark.parametrize("bad_line, kwargs, message", [
+    ("1,abc", {}, "could not convert string to float: 'abc'"),
+    ("1,0.5,0.5", {}, "expected 1 features, got 2"),
+    ("1.5,0.5", {}, "non-integer label '1.5'"),
+    ("7,0.5", {"num_labels": 3}, "label 7 out of range [0, 3)"),
+    ("1,2.5", {"input_domain": (0.0, 1.0)}, "feature outside domain [0.0, 1.0]"),
+], ids=["token", "ragged", "fraction", "range", "domain"])
+def test_load_csv_bad_row_after_blank_lines_names_its_line(tmp_path, bad_line, kwargs,
+                                                           message):
+    # the first two rows are parsed; the bad row is the fourth non-blank line
+    path = tmp_path / "points.csv"
+    path.write_text(f"0,0.5\n\n  \n1,0.25\n\t\n2,0.75\n{bad_line}\n\n1,abc\n")
+    with pytest.raises(DatasetError) as exc:
+        load_dataset(path, "csv", **kwargs)
+    assert str(exc.value) == f"line 7: {message}"
+
+
+def test_load_csv_without_num_labels_keeps_labels_in_int64(tmp_path):
+    path = tmp_path / "points.csv"
+    path.write_text("-9223372036854775808,0.5\n-3,0.5\n")
+    assert load_dataset(path, "csv").labels.tolist() == [-2**63, -3]
+    path.write_text("0,0.5\n\n1e19,0.5\n")
+    with pytest.raises(DatasetError) as exc:
+        load_dataset(path, "csv")
+    assert str(exc.value) == ("line 3: label 10000000000000000000 out of range"
+                              " [-9223372036854775808, 9223372036854775808)")
+
+
+def test_dataset_indexing_and_slicing_give_bit_identical_rows(tmp_path):
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(7, 3))
+    X[2, 1] = -0.0
+    labels = rng.integers(0, 4, size=7)
+    path = tmp_path / "points.csv"
+    path.write_text("".join(f"{y},{','.join(map(repr, x.tolist()))}\n"
+                            for x, y in zip(X, labels)))
+    points = load_dataset(path, "csv", num_labels=4)
+    assert points.X.tobytes() == X.tobytes() and points.labels.tolist() == labels.tolist()
+    for i in range(-7, 7):
+        point = points[i]
+        assert isinstance(point, LabeledPoint) and np.shares_memory(point.x, points.X)
+        assert point.x.tobytes() == X[i].tobytes()
+        assert type(point.label) is int and point.label == labels[i]
+    for index in (slice(2, 6, 2), slice(None, None, -1), slice(3, 3), np.array([4, 0, 4])):
+        part = points[index]
+        assert isinstance(part, Dataset)
+        assert part.X.tobytes() == X[index].tobytes()
+        assert part.labels.tolist() == labels[index].tolist()
+    assert [p.x.tobytes() for p in points] == [x.tobytes() for x in X]
+    assert [p.label for p in points] == labels.tolist()
+    with pytest.raises(IndexError):
+        points[7]
+    with pytest.raises(ValueError, match="expected"):
+        Dataset(X, labels[:6])
 
 
 def _write_idx_pair(tmp_path, images, labels, compress=False):
@@ -428,6 +533,17 @@ def test_load_idx_checks_pixel_count_against_input_dim(tmp_path):
     assert len(load_dataset(img_path, "idx", labels_path=lbl_path, input_dim=4)) == 3
     with pytest.raises(DatasetError, match=r"images\.idx: 2x2 = 4 pixels .* input_dim 3"):
         load_dataset(img_path, "idx", labels_path=lbl_path, input_dim=3)
+
+
+def test_load_idx_label_out_of_range_names_first_bad_item(tmp_path):
+    images = np.zeros((5, 2, 2), dtype=np.uint8)
+    labels = np.array([0, 9, 3, 12, 10], dtype=np.uint8)
+    img_path, lbl_path = _write_idx_pair(tmp_path, images, labels)
+    with pytest.raises(DatasetError) as exc:
+        load_dataset(img_path, "idx", labels_path=lbl_path, num_labels=10)
+    assert str(exc.value) == "item 3: label 12 out of range [0, 10)"
+    points = load_dataset(img_path, "idx", labels_path=lbl_path, num_labels=13)
+    assert points.labels.tolist() == labels.tolist() and points.X.shape == (5, 4)
 
 
 def test_load_idx_bad_magic(tmp_path):

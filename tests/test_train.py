@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relucert import (Dense, LabeledPoint, Network, TrainConfig, accuracy,
+from relucert import (Dataset, Dense, Network, TrainConfig, accuracy,
                       classify, fgsm, finetune, input_gradient, loss_and_gradients,
                       networks_equal, train)
 from helpers import blobs, random_dense_relu_net
@@ -36,7 +36,7 @@ def test_train_rejects_unsupported_layers():
     from helpers import random_conv_pool_net
 
     net = random_conv_pool_net(np.random.default_rng(3))
-    data = [LabeledPoint(np.zeros(16), 0)]
+    data = Dataset(np.zeros((1, 16)), [0])
     with pytest.raises(ValueError, match="not supported"):
         train(net, data, TrainConfig())
 
@@ -178,9 +178,8 @@ def test_finetune_rounds_attack_original_points_only():
         return point.x + 0.01
 
     finetune(net, data, cfg, attack=recording_attack)
-    assert len(attacked) == 3 * len(data)
-    original = {id(p) for p in data}
-    assert all(id(p) in original for p in attacked)
+    assert [p.x.tobytes() for p in attacked] == [x.tobytes() for x in data.X] * 3
+    assert [p.label for p in attacked] == data.labels.tolist() * 3
 
 
 def test_finetune_lp_attack_generates_usable_examples():
