@@ -6,10 +6,12 @@ and an optional input domain, with a dual simplex on the shifted variables
 z = (u, eps) >= 0, x = seed + s * (u - eps * 1), where the orientation s is
 +-1 per coordinate. Every row is a . z <= r:
 
-- box rows u_i - 2 eps <= 0 (u_i >= 0 is the other side of |x_i - seed_i| <= eps);
-- output rows, region rows A x + b >= 0 and the domain rows x_i - lo >= 0 and
-  hi - x_i >= 0, scaled to unit max coefficient, as
-  -(A s) u + (A s 1) eps <= A seed + b, with A s the columns of A times s.
+- output rows and region rows A x + b >= 0, scaled to unit max coefficient, as
+  -(A s) u + (A s 1) eps <= A seed + b, with A s the columns of A times s;
+- coordinate cuts, with one coefficient on u_i and one on eps: the domain rows
+  x_i >= lo and x_i <= hi as -s_i u_i + s_i eps <= seed_i - lo and
+  s_i u_i - s_i eps <= hi - seed_i, and the box rows u_i - 2 eps <= 0
+  (u_i >= 0 is the other side of |x_i - seed_i| <= eps).
 
 The orientation is s = -sign(G_j) (+1 where G_j is 0) for the output row j
 with the largest gap_j / ||G_j||_1, gap_j = -(G_j seed + h_j): the row of
@@ -23,14 +25,17 @@ infeasible one; the entering column has the min ratio of reduced cost to
 |pivot|, ties going to the largest |pivot|. After _STALL_PIVOTS pivots in a
 row that do not raise the objective, Bland's dual rule (smallest basic index
 leaves, smallest column index enters) takes over until one does, so the
-solve cannot cycle. Everything else is a cut: after each optimum, the
-region and domain rows it violates by more than FEAS_TOL, and the box row of
-every coordinate with u_i > 2 eps, are appended, each on a new slack and
-reduced by the current basis, and the dual simplex resumes from that basis,
-which is still dual feasible (a cut only adds a basic slack, even one with
-rhs < 0, as for a seed outside the domain). With this orientation almost
-every coordinate ends at u_i = 0, where its box row is slack, so few box
-rows are ever cut in. Each row enters at most once, so the loop ends.
+solve cannot cycle. Everything else is a cut. After each optimum, one
+product A x + b over the whole region, masked by the rows not yet cut in,
+finds the region rows to cut. The coordinate cuts never enter the pool:
+their coefficients are one table built per solve, and one (3, n) mask, kind
+by kind, marks those not yet cut in. The cuts are appended, each on a new
+slack and reduced by the current basis, and the dual simplex resumes from
+that basis, which is still dual feasible (a cut only adds a basic slack,
+even one with rhs < 0, as for a seed outside the domain). With this
+orientation almost every coordinate ends at u_i = 0, where its box row is
+slack, so few box rows are ever cut in. Each row enters at most once, so
+the loop ends.
 
 The tableau is held in one buffer: row 0 is the objective, column 0 the rhs,
 then the columns of u, eps and one slack per row of the buffer's capacity.
@@ -54,8 +59,12 @@ z = y[:n] - y[n:2n], one slack per inequality (coefficient = sense), then one
 artificial per '>=' or '=' row, numbered in row order by a cumulative sum. A
 row starts basic on its artificial, else on its slack.
 
-Tolerances: pivot and primal feasibility 1e-9, phase-1 feasibility 1e-7, lazy
-violation 1e-7.
+Tolerances: pivot and primal feasibility 1e-9, phase-1 feasibility 1e-7. One
+frame for cuts: a row is cut in when its unit-scaled violation exceeds
+FEAS_TOL = 1e-7, the scale the tableau gives it, so a region row when
+A x + b < -1e-7 max|A_k|, and a domain row (scale 1) when x is outside by more
+than 1e-7. A box row is cut in at any violation, u_i > 2 eps, which keeps the
+witness within eps of the seed.
 """
 
 from __future__ import annotations
@@ -71,6 +80,9 @@ FEAS_TOL = 1e-7
 _RATIO_TIE = 1e-9
 _STALL_PIVOTS = 50  # non-improving dual pivots before Bland's dual rule
 _HEADROOM = 32  # tableau rows allocated beyond lazy_solve's initial rows
+# A coordinate cut's slack below it is a violation, by kind: FEAS_TOL for the
+# domain rows, which have unit scale; 0 for the box rows, so |x_i - seed_i| <= eps.
+_COORD_FLOOR = np.array([[-FEAS_TOL], [-FEAS_TOL], [0.0]])
 
 _SLACK_SIGN = {"<=": 1, ">=": -1, "=": 0}
 
@@ -299,24 +311,41 @@ def simplex_solve(problem: LPProblem, max_pivots: int | None = None) -> LPSoluti
     return LPSolution(OPTIMAL, z, float(problem.objective @ z), pivots)
 
 
+def _row_scale(A):
+    """Max |coefficient| of each row of A, 1 for an all-zero row; from the
+    row max and min, so no |A| temporary is built."""
+    scale = np.maximum(A.max(axis=1, initial=0.0), -A.min(axis=1, initial=0.0))
+    scale[scale <= 0.0] = 1.0
+    return scale
+
+
 def _unit_rows(A, b):
     """Rows A x + b >= 0 rescaled to unit max coefficient, as (A', b').
 
     The scaling keeps deep-network constraints well conditioned without
     changing the feasible set; an all-zero row keeps scale 1.
     """
-    scale = np.abs(A).max(axis=1, initial=0.0)
-    scale[scale <= 0.0] = 1.0
+    scale = _row_scale(A)
     return A / scale[:, None], b / scale
 
 
-def _shifted_rows(seed, sigma, A, b):
-    """Rows A x + b >= 0, unit-scaled to A' x + b' >= 0, as a . z <= r over
-    z = (u, eps) with x = seed + sigma * (u - eps):
-    -(A' sigma) u + (A' sigma 1) eps <= A' seed + b'."""
-    a, c = _unit_rows(A, b)
+def _shifted_rows(seed, sigma, a, c):
+    """Unit-scaled rows a x + c >= 0 as a . z <= r over z = (u, eps) with
+    x = seed + sigma * (u - eps): -(a sigma) u + (a sigma 1) eps <= a seed + c."""
     oriented = a * sigma
     return np.hstack([-oriented, oriented.sum(axis=1, keepdims=True)]), a @ seed + c
+
+
+def _cut_rows(seed, sigma, a, c, coord, i):
+    """One batch of cuts as (rows, rhs) over z = (u, eps): the unit-scaled rows
+    a x + c >= 0, shifted, then the coordinate cuts c_u u_i + c_eps eps <= r,
+    one per column (c_u, c_eps, r) of coord, on the coordinates i. Built here,
+    the batch's temporaries are freed before the next pivots."""
+    k, n = len(a), len(seed)
+    rows, rhs = np.zeros((k + len(i), n + 1)), np.empty(k + len(i))
+    rows[:k], rhs[:k] = _shifted_rows(seed, sigma, a, c)
+    rows[k + np.arange(len(i)), i], rows[k:, n], rhs[k:] = coord
+    return rows, rhs
 
 
 def _orientation(seed, G, h):
@@ -400,37 +429,43 @@ def lazy_solve(seed, A, b, G, h, domain=None,
     row but the output rows is added only once the incumbent violates it.
 
     Returns z = (x, eps) with objective_value eps. The dual simplex runs on the
-    oriented shifted form (module docstring) from the all-slack basis; after
-    each optimum the pool rows violated at x by more than FEAS_TOL, and the box
-    rows with u_i > 2 eps, are appended as cuts and the dual simplex resumes
-    from the current basis. The working set only relaxes the full program, so
-    the final incumbent (feasible for the pool and the box) is optimal for the
-    whole of it, and infeasibility of a working set implies infeasibility of
-    the whole. With no output rows the start is optimal at the seed, and the
-    solve is finite exactly when the pool and domain rows admit a point.
-    max_pivots bounds the pivots of the whole solve; by default it is
-    10000 + 50 (2m + n + 1) with m = n + output + pool + domain rows.
+    oriented shifted form (module docstring) from the all-slack basis. After
+    each optimum, the pool rows whose unit-scaled violation at x exceeds
+    FEAS_TOL are cut in, in index order, then the coordinate cuts the optimum
+    violates: the domain rows x_i >= lo and x_i <= hi (by more than FEAS_TOL)
+    and the box rows u_i <= 2 eps, kind by kind, each by coordinate. The pool
+    is scanned in place and the coordinate cuts never enter it. The dual
+    simplex resumes from the current basis. The working set only relaxes the
+    full program, so the final incumbent (feasible for the pool, the domain
+    and the box) is optimal for the whole of it, and infeasibility of a
+    working set implies infeasibility of the whole. With no output rows the
+    start is optimal at the seed, and the solve is finite exactly when the
+    pool and domain rows admit a point. max_pivots bounds the pivots of the
+    whole solve; by default it is 10000 + 50 (2m + n + 1) with m = n + output
+    + pool + domain rows (2n with a domain).
     """
     start = time.perf_counter()
     seed = np.asarray(seed, dtype=float)
     n = seed.shape[0]
-    if domain is not None:
-        lo, hi = float(domain[0]), float(domain[1])
-        eye = np.eye(n)
-        A = np.vstack([A, eye, -eye])
-        b = np.concatenate([b, np.full(n, -lo), np.full(n, hi)])
+    lo, hi = (-math.inf, math.inf) if domain is None else (float(domain[0]), float(domain[1]))
     sigma = _orientation(seed, G, h)
-    rows, rhs = _shifted_rows(seed, sigma, G, h)
     if max_pivots is None:
-        m = n + len(rows) + len(A)
+        m = n + len(G) + len(A) + (0 if domain is None else 2 * n)
         max_pivots = 10_000 + 50 * (m + n + 1 + m)
+    scale = _row_scale(A)
+    floor = -FEAS_TOL * scale  # A x + b below it: a cut, in the unit-scaled frame
+    # coord = (c_u, c_eps, r), each by kind and coordinate, of the cuts
+    # c_u u_i + c_eps eps <= r of the kinds x_i >= lo, x_i <= hi and u_i <= 2 eps
+    coord = np.array([(-sigma, sigma, np.ones(n)), (sigma, -sigma, np.full(n, -2.0)),
+                      (seed - lo, hi - seed, np.zeros(n))])
 
-    cap = len(rows) + _HEADROOM
+    cap = len(G) + _HEADROOM
     buf = np.zeros((cap + 1, n + cap + 2))
     buf[0, n + 1] = 1.0  # costs: 0 on u, 1 on eps
-    buf, basis = _append_rows(buf, np.zeros(0, dtype=int), rows, rhs)
-    remaining = np.arange(len(A))
-    unboxed = np.ones(n, dtype=bool)  # coordinates whose box row is not cut in
+    buf, basis = _append_rows(buf, np.zeros(0, dtype=int),
+                              *_shifted_rows(seed, sigma, *_unit_rows(G, h)))
+    in_pool = np.ones(len(A), dtype=bool)  # region rows not cut in
+    uncut = np.ones((3, n), dtype=bool)  # coordinate cuts not cut in
     stats = LazyStats()
     pivots = 0
     while True:
@@ -443,20 +478,16 @@ def lazy_solve(seed, A, b, G, h, domain=None,
         z[basis] = np.maximum(T[1:, 0], 0.0)
         u, eps = z[1:n + 1], z[n + 1]
         x = seed + sigma * (u - eps)
-        hit = A[remaining] @ x + b[remaining] < -FEAS_TOL
-        boxed = (unboxed & (u > 2.0 * eps)).nonzero()[0]
-        if not (hit.any() or len(boxed)):
+        region = (in_pool & (A @ x + b < floor)).nonzero()[0]
+        kind, i = (uncut & (coord[2] - coord[0] * u - coord[1] * eps < _COORD_FLOOR)).nonzero()
+        if not (len(region) or len(i)):
             break
-        violated = remaining[hit]
-        cuts, cut_rhs = _shifted_rows(seed, sigma, A[violated], b[violated])
-        box_rows = np.zeros((len(boxed), n + 1))  # u_i - 2 eps <= 0
-        box_rows[np.arange(len(boxed)), boxed] = 1.0
-        box_rows[:, n] = -2.0
-        buf, basis = _append_rows(buf, basis, np.vstack([cuts, box_rows]),
-                                  np.concatenate([cut_rhs, np.zeros(len(boxed))]))
-        remaining = remaining[~hit]
-        unboxed[boxed] = False
-        stats.constraints_added += len(violated) + len(boxed)
+        buf, basis = _append_rows(buf, basis, *_cut_rows(
+            seed, sigma, A[region] / scale[region, None], b[region] / scale[region],
+            coord[:, kind, i], i))
+        in_pool[region] = False
+        uncut[kind, i] = False
+        stats.constraints_added += len(region) + len(i)
     stats.total_pivots = pivots
     stats.final_active_count = len(basis)
     stats.wall_time = time.perf_counter() - start

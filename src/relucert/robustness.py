@@ -124,12 +124,15 @@ def pointwise_robustness(net: Network, seed, targets="second", margin: float = 0
     solve's lazy stats; a record that finds nothing carries the sums over the
     solves it made (the largest final_active_count among them).
 
-    Raises SimplexError when a solved target stops short of optimal or
+    Raises ValueError for a seed of the wrong shape or with a non-finite
+    coordinate, and SimplexError when a solved target stops short of optimal or
     infeasible, e.g. at the iteration limit; a skipped target is never solved.
     """
     seed = np.asarray(seed, dtype=float)
     if seed.shape != (net.input_dim,):
         raise ValueError(f"seed shape {seed.shape}, expected ({net.input_dim},)")
+    if not np.isfinite(seed).all():
+        raise ValueError("seed has a non-finite coordinate")
     if net.num_labels < 2:
         raise ValueError("certification needs at least two labels")
     logits = forward(net, seed)

@@ -102,11 +102,20 @@ def input_gradient(net: Network, x, label: int) -> np.ndarray:
     return grad.input[0]
 
 
+def _check_labels(data: Dataset, num_labels: int):
+    bad = ((data.labels < 0) | (data.labels >= num_labels)).nonzero()[0]
+    if len(bad):
+        raise ValueError(f"item {bad[0]}: label {data.labels[bad[0]]} out of range"
+                         f" [0, {num_labels})")
+
+
 def train(net: Network, data: Dataset, cfg: TrainConfig) -> Network:
-    """SGD on dense-ReLU networks; deterministic given cfg.seed."""
+    """SGD on dense-ReLU networks; deterministic given cfg.seed. A label
+    outside [0, net.num_labels) raises ValueError naming the first one."""
     _check_trainable(net)
     if not data:
         raise ValueError("empty training set")
+    _check_labels(data, net.num_labels)
     X, y = data.X, data.labels
     layers = [Dense(layer.weights.copy(), layer.bias.copy()) if isinstance(layer, Dense)
               else layer for layer in net.layers]
@@ -182,7 +191,9 @@ def finetune(net: Network, train_data: Dataset, cfg: TrainConfig, attack="lp",
     network), labels the generated examples with the seed's ground-truth
     label, and trains on the accumulated augmented set at the reduced rate.
     Points the attack fails on contribute nothing and never abort a round.
+    Labels are checked as train checks them, before the first attack.
     """
+    _check_labels(train_data, net.num_labels)
     if callable(attack):
         generate = attack
     elif attack == "lp":

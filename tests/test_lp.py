@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -523,6 +524,35 @@ def test_lazy_domain_binding_on_several_coordinates():
     # output row's signs point, so u_i = eps - |x_i - seed_i| <= eps at every
     # optimum and no box row is cut in
     assert stats.final_active_count == 1 + 4
+
+
+@pytest.mark.parametrize("domain", [None, (0.0, 1.0)])
+def test_lazy_on_784_inputs_allocates_less_than_the_region(domain):
+    """The pool is scanned in place and the domain never becomes rows, so one
+    solve's traced peak stays below the region matrix it reads."""
+    args = _mnist_sized_instance(domain)
+    tracemalloc.start()
+    try:
+        sol, _ = lazy_solve(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == "optimal"
+    assert peak < args[1].nbytes
+
+
+def test_lazy_cuts_a_pool_row_by_its_unit_scaled_violation():
+    """Seed 0, output row x >= 1 and pool row 0.05 x - 0.05 - 6e-8 >= 0. The
+    first optimum x = 1 violates the pool row by 6e-8 raw, under FEAS_TOL, but
+    by 1.2e-6 unit-scaled, the frame of the tableau's rows: it is cut in, and
+    rho is 1 + 1.2e-6."""
+    seed, G, h = np.zeros(1), np.array([[1.0]]), np.array([-1.0])
+    A, b = np.array([[0.05]]), np.array([-0.05 - 6e-8])
+    sol, stats = lazy_solve(seed, A, b, G, h)
+    assert sol.status == "optimal"
+    assert stats.outer_iterations == 2 and stats.constraints_added == 1
+    assert sol.objective_value == pytest.approx(1.0 + 1.2e-6, abs=1e-12)
+    assert (A @ sol.z[:-1] + b).min() >= -1e-15
 
 
 def _growth_instance():

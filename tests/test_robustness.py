@@ -26,6 +26,19 @@ def test_second_label_estimate_on_linear_classifier(gradient_trap_net):
     assert record.adversarial[0] == pytest.approx(-4 * math.log(9 / 8), abs=1e-9)
 
 
+@pytest.mark.parametrize("seed", [[math.nan, 0.0], [math.inf, 0.0]])
+def test_non_finite_seed_is_rejected_before_forward(seed, monkeypatch):
+    """A NaN seed gave rho inf and an infinite one rho 0.0, each read as a result."""
+    net = random_dense_relu_net(np.random.default_rng(0), [2, 4, 3])
+
+    def unreachable(*args):
+        raise AssertionError("forward called on a non-finite seed")
+
+    monkeypatch.setattr(relucert.robustness, "forward", unreachable)
+    with pytest.raises(ValueError, match="non-finite"):
+        pointwise_robustness(net, np.array(seed))
+
+
 def test_fixed_target_estimate(gradient_trap_net):
     # label 2 must beat both others; the binding constraint is against label 1:
     # score_2 - score_1 = -x + ln(1/3) >= 0, i.e. x <= -ln 3

@@ -41,6 +41,22 @@ def test_train_rejects_unsupported_layers():
         train(net, data, TrainConfig())
 
 
+def _no_attack(net, point):
+    raise AssertionError("attacked a point before the labels were checked")
+
+
+@pytest.mark.parametrize("fit", [
+    lambda net, data: train(net, data, TrainConfig(epochs=1)),
+    lambda net, data: finetune(net, data, TrainConfig(epochs=1), attack=_no_attack),
+], ids=["train", "finetune"])
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_labels_outside_the_networks_range_are_rejected(fit, bad):
+    net = random_dense_relu_net(np.random.default_rng(4), [2, 4, 3])
+    data = Dataset(np.zeros((4, 2)), [0, 2, bad, bad])
+    with pytest.raises(ValueError, match=rf"item 2: label {bad} out of range \[0, 3\)"):
+        fit(net, data)
+
+
 @pytest.mark.parametrize("field, value", [
     ("epochs", 0), ("epochs", -5), ("batch_size", 0), ("batch_size", -1),
 ])
