@@ -191,7 +191,8 @@ def cmd_certify(args) -> int:
 def read_rhos(path) -> list[float]:
     """rho values from a record file; null (no adversarial found) maps to +inf.
 
-    A solver-error record has no rho, so it raises SimplexError.
+    A solver-error record has no rho, so it raises SimplexError. Any other rho
+    must be a finite number >= 0 (not a bool), else DatasetError.
     """
     rhos = []
     with open(path) as fh:
@@ -203,11 +204,19 @@ def read_rhos(path) -> list[float]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{path}: line {lineno}: {exc}") from None
+            if not isinstance(obj, dict):
+                raise DatasetError(f"{path}: line {lineno}: not a record object")
             if "error" in obj:
                 raise SimplexError(f"{path}: line {lineno}: index {obj.get('index')}:"
                                    f" {obj['error']}")
             rho = obj.get("rho")
-            rhos.append(float("inf") if rho is None else float(rho))
+            if rho is None:
+                rhos.append(math.inf)
+            elif type(rho) in (int, float) and 0 <= rho <= sys.float_info.max:
+                rhos.append(float(rho))
+            else:
+                raise DatasetError(f"{path}: line {lineno}: index {obj.get('index')}:"
+                                   f" rho {rho!r} is not null or a finite number >= 0")
     return rhos
 
 

@@ -91,12 +91,19 @@ class DisjunctiveEncoding:
 
 
 def _propagate(net: Network, choose_relu, choose_pool) -> LinearRegion:
-    """Run the symbolic pass, resolving each disjunction via the given choosers."""
-    v = AffineVector.identity(net.input_dim)
+    """Run the symbolic pass, resolving each disjunction via the given choosers.
+    A first Dense or Conv layer gives the first expressions as they are, with
+    no product with the identity."""
+    first = net.layers[0]
+    if isinstance(first, (Dense, Conv)):
+        first = first.as_dense if isinstance(first, Conv) else first
+        v, layers = AffineVector(first.weights, first.bias), net.layers[1:]
+    else:
+        v, layers = AffineVector.identity(net.input_dim), net.layers
     rows = [np.zeros((0, net.input_dim))]
     bias = [np.zeros(0)]
     pattern = []
-    for layer in net.layers:
+    for layer in layers:
         if isinstance(layer, (Dense, Conv)):
             v = affine_dense(layer, v)
         elif isinstance(layer, Relu):

@@ -37,15 +37,24 @@ orientation almost every coordinate ends at u_i = 0, where its box row is
 slack, so few box rows are ever cut in. Each row enters at most once, so
 the loop ends.
 
-The tableau is held in one buffer: row 0 is the objective, column 0 the rhs,
-then the columns of u, eps and one slack per row of the buffer's capacity.
-With m rows in use the tableau is buf[:m + 1], all columns; the slack columns
-of rows not yet added hold 0 and never enter. Whole rows keep the tableau
-contiguous: numpy's in-place update of a strided view buf[:m + 1, :w] ran
-2-5 times slower. The buffer starts with room for _HEADROOM rows beyond the
-initial ones; cuts are written into it in place, and when a batch does not
-fit the row capacity doubles (or grows to fit the batch) and the tableau is
-copied over once.
+The tableau is condensed (the Jordan-exchange form): a basic variable's
+column is a unit vector, so only the n + 1 nonbasic variables have a column.
+Variables are named by labels: u_i is i, eps is n, and the slack of the r-th
+row added is n + 1 + r. basis[r] labels the basic variable of row r + 1 and
+nonbasic[j] the variable of column j + 1. The tableau is held in one buffer
+of n + 2 columns: row 0 is the objective, column 0 the rhs. A pivot on
+(r, c) with pivot p exchanges two labels: the other columns get the full
+tableau's rank-1 update, and column c takes the leaving variable, 1/p in row
+r and 0 - T[i, c] (1/p) elsewhere, the values a full tableau holds in that
+variable's column after the pivot. Column ties break on labels, not
+positions, so the pivot path is a full tableau's. A cut row comes with its
+n + 1 structural coefficients and one zero column, which every slack label
+reads (a row has no coefficient on another row's slack): it is written under
+the tableau by the nonbasic labels and reduced by the basic ones. The buffer
+grows in rows only. It starts with room for _HEADROOM rows beyond the initial
+ones; cuts are written into it in place, and when a batch does not fit the
+row capacity doubles (or grows to fit the batch) and the tableau is copied
+over once.
 
 simplex_solve and its generic form (LPProblem, LinearConstraint,
 linf_box_problem) stay only because the benchmark harness in perfbench/ names
@@ -62,7 +71,8 @@ row starts basic on its artificial, else on its slack.
 Tolerances: pivot and primal feasibility 1e-9, phase-1 feasibility 1e-7. One
 frame for cuts: a row is cut in when its unit-scaled violation exceeds
 FEAS_TOL = 1e-7, the scale the tableau gives it, so a region row when
-A x + b < -1e-7 max|A_k|, and a domain row (scale 1) when x is outside by more
+A x + b < -1e-7 max|A_k| (the scale is taken only of the rows with
+A x + b < 0), and a domain row (scale 1) when x is outside by more
 than 1e-7. A box row is cut in at any violation, u_i > 2 eps, which keeps the
 witness within eps of the seed.
 """
@@ -163,10 +173,26 @@ class LazyStats:
 
 
 def _pivot(T, row, col):
-    """Pivot T on (row, col). After x / x the pivot is exactly 1, so the rank-1
-    update leaves exactly 0 in the rest of the pivot column."""
+    """Pivot the full tableau T of simplex_solve on (row, col). After x / x the
+    pivot is exactly 1, so the rank-1 update leaves exactly 0 in the rest of
+    the pivot column."""
     line = T[row] / T[row, col]
     T -= T[:, col, None] * line
+    T[row] = line
+
+
+def _exchange(T, row, col):
+    """Pivot the condensed tableau T on (row, col): column col passes from the
+    entering variable to the leaving one. The other columns get _pivot's
+    update; column col gets the leaving variable's column of the full tableau
+    after _pivot, where it was the unit column of row: 1/p in row and
+    0 - T[i, col] (1/p) elsewhere."""
+    p = T[row, col]
+    line = T[row] / p
+    line[col] = 1.0 / p
+    update = T[:, col, None] * line
+    T -= update
+    np.subtract(0.0, update[:, col], out=T[:, col])
     T[row] = line
 
 
@@ -331,18 +357,21 @@ def _unit_rows(A, b):
 
 def _shifted_rows(seed, sigma, a, c):
     """Unit-scaled rows a x + c >= 0 as a . z <= r over z = (u, eps) with
-    x = seed + sigma * (u - eps): -(a sigma) u + (a sigma 1) eps <= a seed + c."""
+    x = seed + sigma * (u - eps): -(a sigma) u + (a sigma 1) eps <= a seed + c.
+    The rows end with a zero column, the one slack labels read (_append_rows)."""
     oriented = a * sigma
-    return np.hstack([-oriented, oriented.sum(axis=1, keepdims=True)]), a @ seed + c
+    return (np.hstack([-oriented, oriented.sum(axis=1, keepdims=True), np.zeros((len(a), 1))]),
+            a @ seed + c)
 
 
 def _cut_rows(seed, sigma, a, c, coord, i):
-    """One batch of cuts as (rows, rhs) over z = (u, eps): the unit-scaled rows
-    a x + c >= 0, shifted, then the coordinate cuts c_u u_i + c_eps eps <= r,
-    one per column (c_u, c_eps, r) of coord, on the coordinates i. Built here,
-    the batch's temporaries are freed before the next pivots."""
+    """One batch of cuts as (rows, rhs) over z = (u, eps), with the zero column
+    of _shifted_rows: the unit-scaled rows a x + c >= 0, shifted, then the
+    coordinate cuts c_u u_i + c_eps eps <= r, one per column (c_u, c_eps, r) of
+    coord, on the coordinates i. Built here, the batch's temporaries are freed
+    before the next pivots."""
     k, n = len(a), len(seed)
-    rows, rhs = np.zeros((k + len(i), n + 1)), np.empty(k + len(i))
+    rows, rhs = np.zeros((k + len(i), n + 2)), np.empty(k + len(i))
     rows[:k], rhs[:k] = _shifted_rows(seed, sigma, a, c)
     rows[k + np.arange(len(i)), i], rows[k:, n], rhs[k:] = coord
     return rows, rhs
@@ -360,36 +389,44 @@ def _orientation(seed, G, h):
     return np.where(G[int(score.argmax())] > 0, -1.0, 1.0)
 
 
-def _append_rows(buf, basis, rows, rhs):
-    """Append rows . z <= rhs to the tableau held in buf, each on a new basic
-    slack column and reduced by the current basis; returns (buf, basis).
+def _append_rows(buf, basis, nonbasic, rows, rhs):
+    """Append rows . z <= rhs to the condensed tableau held in buf, each on a
+    new basic slack and reduced by the current basis; returns (buf, basis).
 
-    The tableau is buf[:m + 1] with m = len(basis): row 0 is the objective,
-    column 0 the rhs, then the rows.shape[1] structural columns and one slack
-    column per row. The slack columns of rows not yet added, and the rows
-    below m, hold 0. A buffer with capacity for R rows is
-    (R + 1, rows.shape[1] + R + 1); when the new rows do not fit, R doubles
+    The tableau is buf[:m + 1] with m = len(basis) (module docstring). rows
+    has n + 2 columns: the coefficients of the structural labels 0 .. n, then
+    a zero column for every slack label. The new rows are written by the
+    nonbasic labels and reduced by the basic ones, and their slacks take the
+    labels n + 1 + m onwards. When they do not fit, the row capacity doubles
     (or grows to fit them) and the tableau is copied into a fresh buffer.
     """
     m, (k, d) = len(basis), rows.shape
-    w = d + m
-    if m + k > buf.shape[0] - 1:
-        cap = max(2 * (buf.shape[0] - 1), m + k)
-        grown = np.zeros((cap + 1, d + cap + 1))
-        grown[:m + 1, :buf.shape[1]] = buf[:m + 1]
+    if m + k > len(buf) - 1:
+        grown = np.zeros((max(2 * (len(buf) - 1), m + k) + 1, d))
+        grown[:m + 1] = buf[:m + 1]
         buf = grown
     block = buf[m + 1:m + k + 1]
     block[:, 0] = rhs
-    block[:, 1:d + 1] = rows
-    block[np.arange(k), w + 1 + np.arange(k)] = 1.0
-    block -= block[:, basis] @ buf[1:m + 1]
-    return buf, np.concatenate([basis, w + 1 + np.arange(k)])
+    block[:, 1:] = rows.take(np.minimum(nonbasic, d - 1), axis=1)
+    if m:
+        # OpenBLAS rounds the last (width mod 16) columns of a product with
+        # other kernels than the rest. Those columns go through a zero-padded
+        # block 16 wide, so every column is rounded as an inner one, wherever
+        # its label sits: the values of a full tableau, whose columns are
+        # almost all inner ones.
+        basic, split = rows.take(np.minimum(basis, d - 1), axis=1), d - d % 16
+        block[:, :split] -= basic @ buf[1:m + 1, :split]
+        tail = np.zeros((m, 16))
+        tail[:, :d - split] = buf[1:m + 1, split:]
+        block[:, split:] -= (basic @ tail)[:, :d - split]
+    return buf, np.concatenate([basis, d - 1 + m + np.arange(k)])
 
 
-def _dual_iterate(T, basis, max_pivots, pivots):
-    """Dual simplex on a dual-feasible tableau of '<=' rows (objective row 0,
-    rhs column 0, basis[i] the basic column of row i + 1) until primal feasible
-    (optimal), a row proves infeasibility, or the pivot limit."""
+def _dual_iterate(T, basis, nonbasic, max_pivots, pivots):
+    """Dual simplex on a dual-feasible condensed tableau of '<=' rows (objective
+    row 0, rhs column 0, labels basis and nonbasic as in the module docstring)
+    until primal feasible (optimal), a row proves infeasibility, or the pivot
+    limit."""
     cost, rhs = T[0, 1:], T[1:, 0]
     if rhs.size == 0:  # no rows: the all-slack start is optimal
         return OPTIMAL, pivots
@@ -401,7 +438,7 @@ def _dual_iterate(T, basis, max_pivots, pivots):
         if pivots >= max_pivots:
             return ITERATION_LIMIT, pivots
         bland = stall >= _STALL_PIVOTS
-        if bland:  # smallest basic index leaves
+        if bland:  # smallest basic label leaves
             rows = (rhs < -PIVOT_TOL).nonzero()[0]
             leave = int(rows[basis[rows].argmin()])
         line = T[leave + 1, 1:]
@@ -412,11 +449,16 @@ def _dual_iterate(T, basis, max_pivots, pivots):
         ratios = np.maximum(cost[cols], 0.0) / -line[cols]
         best = ratios.min()
         tie = cols[ratios <= best + _RATIO_TIE * (1.0 + best)]
-        # Bland: smallest entering index; else the largest |pivot|
-        col = 1 + int(tie[0] if bland else tie[line[tie].argmin()])
+        col = int(tie[0])
+        if len(tie) > 1:
+            # Bland: smallest entering label; else the largest |pivot|, then
+            # the smallest label
+            if not bland:
+                tie = tie[line[tie] == line[tie].min()]
+            col = int(tie[nonbasic[tie].argmin()])
         before = T[0, 0]
-        _pivot(T, leave + 1, col)
-        basis[leave] = col
+        _exchange(T, leave + 1, col + 1)
+        basis[leave], nonbasic[col] = nonbasic[col], basis[leave]
         pivots += 1
         # -T[0, 0] is the objective, which a dual pivot never lowers
         stall = 0 if before - T[0, 0] > _RATIO_TIE * (1.0 + abs(before)) else stall + 1
@@ -452,17 +494,15 @@ def lazy_solve(seed, A, b, G, h, domain=None,
     if max_pivots is None:
         m = n + len(G) + len(A) + (0 if domain is None else 2 * n)
         max_pivots = 10_000 + 50 * (m + n + 1 + m)
-    scale = _row_scale(A)
-    floor = -FEAS_TOL * scale  # A x + b below it: a cut, in the unit-scaled frame
     # coord = (c_u, c_eps, r), each by kind and coordinate, of the cuts
     # c_u u_i + c_eps eps <= r of the kinds x_i >= lo, x_i <= hi and u_i <= 2 eps
     coord = np.array([(-sigma, sigma, np.ones(n)), (sigma, -sigma, np.full(n, -2.0)),
                       (seed - lo, hi - seed, np.zeros(n))])
 
-    cap = len(G) + _HEADROOM
-    buf = np.zeros((cap + 1, n + cap + 2))
+    buf = np.zeros((len(G) + _HEADROOM + 1, n + 2))
     buf[0, n + 1] = 1.0  # costs: 0 on u, 1 on eps
-    buf, basis = _append_rows(buf, np.zeros(0, dtype=int),
+    nonbasic = np.arange(n + 1)  # the labels of u and eps
+    buf, basis = _append_rows(buf, np.zeros(0, dtype=int), nonbasic,
                               *_shifted_rows(seed, sigma, *_unit_rows(G, h)))
     in_pool = np.ones(len(A), dtype=bool)  # region rows not cut in
     uncut = np.ones((3, n), dtype=bool)  # coordinate cuts not cut in
@@ -470,21 +510,26 @@ def lazy_solve(seed, A, b, G, h, domain=None,
     pivots = 0
     while True:
         T = buf[:len(basis) + 1]
-        status, pivots = _dual_iterate(T, basis, max_pivots, pivots)
+        status, pivots = _dual_iterate(T, basis, nonbasic, max_pivots, pivots)
         stats.outer_iterations += 1
         if status != OPTIMAL:
             break
-        z = np.zeros(T.shape[1])  # by tableau column: z[1:n + 1] is u, z[n + 1] eps
+        z = np.zeros(n + 1 + len(basis))  # by label: z[:n] is u, z[n] eps
         z[basis] = np.maximum(T[1:, 0], 0.0)
-        u, eps = z[1:n + 1], z[n + 1]
+        u, eps = z[:n], z[n]
         x = seed + sigma * (u - eps)
-        region = (in_pool & (A @ x + b < floor)).nonzero()[0]
+        slack = A @ x + b
+        region = (in_pool & (slack < 0.0)).nonzero()[0]  # only these need a scale
+        a = A[region]
+        scale = _row_scale(a)
+        keep = slack[region] < -FEAS_TOL * scale  # a cut, in the unit-scaled frame
+        region, a, scale = region[keep], a[keep], scale[keep]
+        a /= scale[:, None]
         kind, i = (uncut & (coord[2] - coord[0] * u - coord[1] * eps < _COORD_FLOOR)).nonzero()
         if not (len(region) or len(i)):
             break
-        buf, basis = _append_rows(buf, basis, *_cut_rows(
-            seed, sigma, A[region] / scale[region, None], b[region] / scale[region],
-            coord[:, kind, i], i))
+        buf, basis = _append_rows(buf, basis, nonbasic, *_cut_rows(
+            seed, sigma, a, b[region] / scale, coord[:, kind, i], i))
         in_pool[region] = False
         uncut[kind, i] = False
         stats.constraints_added += len(region) + len(i)

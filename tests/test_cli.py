@@ -199,6 +199,34 @@ def test_stats_and_curve_refuse_solver_error_records(tmp_path, capsys):
     assert not curve_out.exists()
 
 
+@pytest.mark.parametrize("command", ["stats", "curve"])
+@pytest.mark.parametrize("rho", ["NaN", "-0.5", "true", "false", "Infinity", "-Infinity",
+                                 '"abc"', '"0.1"', "[0.1]", "1e999"])
+def test_stats_and_curve_refuse_a_corrupt_rho(tmp_path, capsys, command, rho):
+    """Only null or a finite number >= 0 is a rho: anything else is an I/O
+    error naming the file, the line and the record's index, and nothing is
+    written."""
+    records = tmp_path / "records.jsonl"
+    records.write_text('{"index": 0, "rho": 0.1}\n'
+                       f'{{"index": 1, "rho": {rho}}}\n'
+                       '{"index": 2, "rho": null}\n')
+    curve_out = tmp_path / "curve.csv"
+    extra = ["--out", str(curve_out)] if command == "curve" else ["--eps", "0.5"]
+    assert main([command, "--records", str(records), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{records}: line 2: index 1: rho " in captured.err
+    assert not curve_out.exists()
+
+
+def test_read_rhos_accepts_null_zero_and_integers(tmp_path):
+    records = tmp_path / "records.jsonl"
+    records.write_text('{"index": 0, "rho": null}\n{"index": 1, "rho": 0}\n'
+                       '{"index": 2, "rho": -0.0}\n{"index": 3, "rho": 2}\n'
+                       '{"index": 4, "rho": 0.25}\n')
+    assert read_rhos(records) == [math.inf, 0.0, 0.0, 2.0, 0.25]
+
+
 def test_attack_outputs_verified_adversarials(tmp_path, toy_setup):
     net, model, data = toy_setup
     out = tmp_path / "adv.csv"

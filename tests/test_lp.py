@@ -329,9 +329,9 @@ def test_lazy_box_cut_for_a_coordinate_pushed_against_its_orientation(monkeypatc
     A, b = np.array([[1.0, -1.0]]), np.array([-3.0])
     real, appended = lp._append_rows, []
 
-    def spy(buf, basis, rows, rhs):
+    def spy(buf, basis, nonbasic, rows, rhs):
         appended.append((rows.copy(), rhs.copy()))
-        return real(buf, basis, rows, rhs)
+        return real(buf, basis, nonbasic, rows, rhs)
 
     monkeypatch.setattr(lp, "_append_rows", spy)
     sol, stats = lazy_solve(seed, A, b, G, h)
@@ -339,12 +339,65 @@ def test_lazy_box_cut_for_a_coordinate_pushed_against_its_orientation(monkeypatc
     assert sol.objective_value == pytest.approx(1.5, abs=1e-12)
     assert sol.z[:-1] == pytest.approx([1.5, -1.5], abs=1e-12)
     assert sol.objective_value == pytest.approx(highs_min_eps(seed, A, b, G, h), abs=1e-9)
-    # the output row, the region cut, then the box row u_1 - 2 eps <= 0
+    # the output row, the region cut, then the box row u_1 - 2 eps <= 0 (and
+    # the zero column that slack labels read)
     assert len(appended) == 3
-    assert appended[2][0].tolist() == [[0.0, 1.0, -2.0]] and appended[2][1].tolist() == [0.0]
+    assert appended[2][0].tolist() == [[0.0, 1.0, -2.0, 0.0]] and appended[2][1].tolist() == [0.0]
     assert stats.outer_iterations == 3
     assert stats.constraints_added == 1 + 1  # region cut, box cut
     assert stats.final_active_count == 1 + 2
+
+
+def _full_form(T, basis, nonbasic):
+    """The full tableau of a condensed one: column 1 + label for each label,
+    a unit column for each basic one."""
+    m = len(basis)
+    F = np.zeros((m + 1, 1 + m + len(nonbasic)))
+    F[:, 0] = T[:, 0]
+    F[:, 1 + nonbasic] = T[:, 1:]
+    F[1 + np.arange(m), 1 + basis] = 1.0
+    return F
+
+
+def test_exchange_is_a_pivot_of_the_full_tableau():
+    """On random dual-feasible tableaux with exact and signed zeros, one
+    exchange leaves in every column the bytes the full tableau's pivot leaves
+    in the column of that column's label, the leaving variable's included."""
+    rng = np.random.default_rng(263)
+    for _ in range(100):
+        m, n = int(rng.integers(1, 12)), int(rng.integers(1, 10))
+        labels = rng.permutation(n + 1 + m)
+        basis, nonbasic = labels[:m], labels[m:]
+        T = rng.normal(size=(m + 1, n + 2)) * (rng.random((m + 1, n + 2)) < 0.7)
+        T[rng.random((m + 1, n + 2)) < 0.1] = -0.0
+        T[0, 1:] = np.abs(T[0, 1:])
+        row, col = 1 + int(rng.integers(m)), 1 + int(rng.integers(n + 1))
+        T[row, 0], T[row, col] = -rng.random(), -0.1 - rng.random()
+        F = _full_form(T, basis, nonbasic)
+        lp._exchange(T, row, col)
+        lp._pivot(F, row, 1 + nonbasic[col - 1])
+        basis[row - 1], nonbasic[col - 1] = nonbasic[col - 1], basis[row - 1]
+        assert T[:, 0].tobytes() == F[:, 0].tobytes()
+        for j, label in enumerate(nonbasic):
+            assert T[:, 1 + j].tobytes() == F[:, 1 + label].tobytes()
+        assert np.array_equal(F[1:, 1 + basis], np.eye(m)) and not F[0, 1 + basis].any()
+
+
+@pytest.mark.parametrize("line, stall, entering", [
+    ([-1.0, -1.0], lp._STALL_PIVOTS, 0),  # ratio and |pivot| tie: the smaller label
+    ([-2.0, -1.0], lp._STALL_PIVOTS, 2),  # ratio tie: the larger |pivot|
+    ([-2.0, -1.0], 0, 0),  # Bland's rule: the smaller label
+])
+def test_column_ties_break_on_labels_not_positions(monkeypatch, line, stall, entering):
+    """One row line . (z_2, z_0) <= -1, columns in that order, costs giving
+    both the ratio 1, and eps (label 1) basic: label 0 sits in the later
+    column. The entering label's column takes the leaving eps."""
+    monkeypatch.setattr(lp, "_STALL_PIVOTS", stall)
+    T = np.array([[0.0, *np.negative(line)], [-1.0, *line]])
+    basis, nonbasic = np.array([1]), np.array([2, 0])
+    assert lp._dual_iterate(T, basis, nonbasic, 10, 0) == (lp.OPTIMAL, 1)
+    assert basis.tolist() == [entering]
+    assert nonbasic.tolist() == ([1, 0] if entering == 2 else [2, 1])
 
 
 def _mnist_sized_instance(domain):
@@ -569,11 +622,12 @@ def _growth_instance():
 
 def test_lazy_cut_batch_larger_than_the_headroom_grows_the_tableau(monkeypatch):
     seed, A, b, G, h = _growth_instance()
-    real, capacities = lp._append_rows, []
+    real, capacities, widths = lp._append_rows, [], []
 
-    def spy(buf, basis, rows, rhs):
-        buf, basis = real(buf, basis, rows, rhs)
+    def spy(buf, basis, nonbasic, rows, rhs):
+        buf, basis = real(buf, basis, nonbasic, rows, rhs)
         capacities.append(buf.shape[0] - 1)
+        widths.append(buf.shape[1])
         return buf, basis
 
     monkeypatch.setattr(lp, "_append_rows", spy)
@@ -585,6 +639,8 @@ def test_lazy_cut_batch_larger_than_the_headroom_grows_the_tableau(monkeypatch):
     # buffer holds the one output row plus the headroom.
     assert stats.outer_iterations == 3 and stats.constraints_added == len(A) + 1
     assert capacities[0] == 1 + lp._HEADROOM and capacities[1] > capacities[0]
+    # the condensed tableau grows in rows only: rhs, u_0, u_1, eps
+    assert widths == [len(seed) + 2] * 3
     assert stats.final_active_count == 1 + len(A) + 1  # output row, pool cuts, box cut
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(highs_min_eps(seed, A, b, G, h), abs=1e-9)
