@@ -123,7 +123,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rounds", type=_positive_int, default=1)
     p.add_argument("--alpha", type=_nonnegative, default=3.0)
     p.add_argument("--attack", choices=("lp", "fgsm"), default="lp")
-    p.add_argument("--fgsm-eps", type=_nonnegative)
+    p.add_argument("--fgsm-eps", type=_positive, help="FGSM step (required with --attack fgsm)")
     p.add_argument("--round-integers", action="store_true")
     p.add_argument("--lr", type=_nonnegative, default=0.1)
     p.add_argument("--lr-scale", type=_nonnegative, default=0.1)
@@ -328,6 +328,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "finetune" and args.attack == "fgsm" and args.fgsm_eps is None:
+            parser.error("argument --fgsm-eps: required with --attack fgsm")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -152,8 +152,8 @@ def output_constraints(region: LinearRegion, target: int,
     order."""
     if not 0 <= target < len(region.logits):
         raise ValueError(f"target {target} out of range [0, {len(region.logits)})")
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
+    if not 0.0 <= margin < math.inf:
+        raise ValueError(f"margin must be finite and >= 0, got {margin}")
     others = np.arange(len(region.logits)) != target
     W, c = region.logits.coeffs, region.logits.bias
     return W[target] - W[others], c[target] - c[others] - margin

@@ -20,22 +20,23 @@ the way that raises G_j x, so the all-slack start lies on that row's Hoelder
 vertex, and one pivot on eps reaches it. The costs are 0 on u and 1 on eps,
 so the all-slack basis is dual feasible and no phase 1 is needed.
 
-The tableau starts with the output rows only. The leaving row is the most
+The solve is one cycle: append a batch of rows, run the dual simplex, scan
+for the next batch. The output rows are the first batch, with no coordinate
+cut; every later batch is a batch of cuts. The leaving row is the most
 infeasible one; the entering column has the min ratio of reduced cost to
 |pivot|, ties going to the largest |pivot|. After _STALL_PIVOTS pivots in a
 row that do not raise the objective, Bland's dual rule (smallest basic index
 leaves, smallest column index enters) takes over until one does, so the
-solve cannot cycle. Everything else is a cut. After each optimum, one
-product A x + b over the whole region, masked by the rows not yet cut in,
-finds the region rows to cut. The coordinate cuts never enter the pool:
-their coefficients are one table built per solve, and one (3, n) mask, kind
-by kind, marks those not yet cut in. The cuts are appended, each on a new
-slack and reduced by the current basis, and the dual simplex resumes from
-that basis, which is still dual feasible (a cut only adds a basic slack,
-even one with rhs < 0, as for a seed outside the domain). With this
-orientation almost every coordinate ends at u_i = 0, where its box row is
-slack, so few box rows are ever cut in. Each row enters at most once, so
-the loop ends.
+solve cannot cycle. After each optimum, one product A x + b over the whole
+region, masked by the rows not yet cut in, finds the region rows to cut.
+The coordinate cuts never enter the pool: their coefficients are one table
+built per solve, and one (3, n) mask, kind by kind, marks those not yet cut
+in. Each batch is appended, each row on a new slack and reduced by the
+current basis, and the dual simplex resumes from that basis, which is still
+dual feasible (a cut only adds a basic slack, even one with rhs < 0, as for
+a seed outside the domain). With this orientation almost every coordinate
+ends at u_i = 0, where its box row is slack, so few box rows are ever cut
+in. Each row enters at most once, so the loop ends.
 
 The tableau is condensed (the Jordan-exchange form): a basic variable's
 column is a unit vector, so only the n + 1 nonbasic variables have a column.
@@ -47,14 +48,14 @@ of n + 2 columns: row 0 is the objective, column 0 the rhs. A pivot on
 tableau's rank-1 update, and column c takes the leaving variable, 1/p in row
 r and 0 - T[i, c] (1/p) elsewhere, the values a full tableau holds in that
 variable's column after the pivot. Column ties break on labels, not
-positions, so the pivot path is a full tableau's. A cut row comes with its
-n + 1 structural coefficients and one zero column, which every slack label
-reads (a row has no coefficient on another row's slack): it is written under
-the tableau by the nonbasic labels and reduced by the basic ones. The buffer
-grows in rows only. It starts with room for _HEADROOM rows beyond the initial
-ones; cuts are written into it in place, and when a batch does not fit the
-row capacity doubles (or grows to fit the batch) and the tableau is copied
-over once.
+positions, so the pivot path is a full tableau's. A row of a batch comes
+with its n + 1 structural coefficients and one zero column, which every
+slack label reads (a row has no coefficient on another row's slack): it is
+written under the tableau by the nonbasic labels and reduced by the basic
+ones in one product. The buffer grows in rows only. It starts with room for
+_HEADROOM rows beyond the output rows; batches are written into it in place,
+and when a batch does not fit the row capacity doubles (or grows to fit the
+batch) and the tableau is copied over once.
 
 simplex_solve and its generic form (LPProblem, LinearConstraint,
 linf_box_problem) stay only because the benchmark harness in perfbench/ names
@@ -89,7 +90,7 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 _RATIO_TIE = 1e-9
 _STALL_PIVOTS = 50  # non-improving dual pivots before Bland's dual rule
-_HEADROOM = 32  # tableau rows allocated beyond lazy_solve's initial rows
+_HEADROOM = 32  # tableau rows allocated beyond lazy_solve's output rows
 # A coordinate cut's slack below it is a violation, by kind: FEAS_TOL for the
 # domain rows, which have unit scale; 0 for the box rows, so |x_i - seed_i| <= eps.
 _COORD_FLOOR = np.array([[-FEAS_TOL], [-FEAS_TOL], [0.0]])
@@ -345,34 +346,22 @@ def _row_scale(A):
     return scale
 
 
-def _unit_rows(A, b):
-    """Rows A x + b >= 0 rescaled to unit max coefficient, as (A', b').
-
-    The scaling keeps deep-network constraints well conditioned without
-    changing the feasible set; an all-zero row keeps scale 1.
-    """
-    scale = _row_scale(A)
-    return A / scale[:, None], b / scale
-
-
-def _shifted_rows(seed, sigma, a, c):
-    """Unit-scaled rows a x + c >= 0 as a . z <= r over z = (u, eps) with
-    x = seed + sigma * (u - eps): -(a sigma) u + (a sigma 1) eps <= a seed + c.
-    The rows end with a zero column, the one slack labels read (_append_rows)."""
-    oriented = a * sigma
-    return (np.hstack([-oriented, oriented.sum(axis=1, keepdims=True), np.zeros((len(a), 1))]),
-            a @ seed + c)
-
-
 def _cut_rows(seed, sigma, a, c, coord, i):
-    """One batch of cuts as (rows, rhs) over z = (u, eps), with the zero column
-    of _shifted_rows: the unit-scaled rows a x + c >= 0, shifted, then the
-    coordinate cuts c_u u_i + c_eps eps <= r, one per column (c_u, c_eps, r) of
-    coord, on the coordinates i. Built here, the batch's temporaries are freed
-    before the next pivots."""
+    """One batch of rows as (rows, rhs) over z = (u, eps), each with the zero
+    column that slack labels read (_append_rows): the unit-scaled rows
+    a x + c >= 0 shifted by x = seed + sigma * (u - eps), as
+    -(a sigma) u + (a sigma 1) eps <= a seed + c, then the coordinate cuts
+    c_u u_i + c_eps eps <= r, one per column (c_u, c_eps, r) of coord, on the
+    coordinates i (none in the batch of output rows). The shifted rows are
+    written straight into the batch, and its temporaries are freed before the
+    next pivots."""
     k, n = len(a), len(seed)
     rows, rhs = np.zeros((k + len(i), n + 2)), np.empty(k + len(i))
-    rows[:k], rhs[:k] = _shifted_rows(seed, sigma, a, c)
+    oriented = rows[:k, :n]
+    np.multiply(a, sigma, out=oriented)
+    oriented.sum(axis=1, out=rows[:k, n])
+    np.negative(oriented, out=oriented)
+    rhs[:k] = a @ seed + c
     rows[k + np.arange(len(i)), i], rows[k:, n], rhs[k:] = coord
     return rows, rhs
 
@@ -397,8 +386,9 @@ def _append_rows(buf, basis, nonbasic, rows, rhs):
     has n + 2 columns: the coefficients of the structural labels 0 .. n, then
     a zero column for every slack label. The new rows are written by the
     nonbasic labels and reduced by the basic ones, and their slacks take the
-    labels n + 1 + m onwards. When they do not fit, the row capacity doubles
-    (or grows to fit them) and the tableau is copied into a fresh buffer.
+    labels n + 1 + m onwards; with no row yet (basis empty) the reduction
+    subtracts +0.0. When they do not fit, the row capacity doubles (or grows
+    to fit them) and the tableau is copied into a fresh buffer.
     """
     m, (k, d) = len(basis), rows.shape
     if m + k > len(buf) - 1:
@@ -408,17 +398,7 @@ def _append_rows(buf, basis, nonbasic, rows, rhs):
     block = buf[m + 1:m + k + 1]
     block[:, 0] = rhs
     block[:, 1:] = rows.take(np.minimum(nonbasic, d - 1), axis=1)
-    if m:
-        # OpenBLAS rounds the last (width mod 16) columns of a product with
-        # other kernels than the rest. Those columns go through a zero-padded
-        # block 16 wide, so every column is rounded as an inner one, wherever
-        # its label sits: the values of a full tableau, whose columns are
-        # almost all inner ones.
-        basic, split = rows.take(np.minimum(basis, d - 1), axis=1), d - d % 16
-        block[:, :split] -= basic @ buf[1:m + 1, :split]
-        tail = np.zeros((m, 16))
-        tail[:, :d - split] = buf[1:m + 1, split:]
-        block[:, split:] -= (basic @ tail)[:, :d - split]
+    block -= rows.take(np.minimum(basis, d - 1), axis=1) @ buf[1:m + 1]
     return buf, np.concatenate([basis, d - 1 + m + np.arange(k)])
 
 
@@ -501,14 +481,17 @@ def lazy_solve(seed, A, b, G, h, domain=None,
 
     buf = np.zeros((len(G) + _HEADROOM + 1, n + 2))
     buf[0, n + 1] = 1.0  # costs: 0 on u, 1 on eps
-    nonbasic = np.arange(n + 1)  # the labels of u and eps
-    buf, basis = _append_rows(buf, np.zeros(0, dtype=int), nonbasic,
-                              *_shifted_rows(seed, sigma, *_unit_rows(G, h)))
+    basis, nonbasic = np.zeros(0, dtype=int), np.arange(n + 1)  # nonbasic: u and eps
     in_pool = np.ones(len(A), dtype=bool)  # region rows not cut in
     uncut = np.ones((3, n), dtype=bool)  # coordinate cuts not cut in
     stats = LazyStats()
     pivots = 0
+    scale = _row_scale(G)  # the first batch: the output rows, no coordinate cut
+    a, c = G / scale[:, None], h / scale
+    kind = i = np.zeros(0, dtype=int)
     while True:
+        buf, basis = _append_rows(buf, basis, nonbasic, *_cut_rows(
+            seed, sigma, a, c, coord[:, kind, i], i))
         T = buf[:len(basis) + 1]
         status, pivots = _dual_iterate(T, basis, nonbasic, max_pivots, pivots)
         stats.outer_iterations += 1
@@ -525,11 +508,10 @@ def lazy_solve(seed, A, b, G, h, domain=None,
         keep = slack[region] < -FEAS_TOL * scale  # a cut, in the unit-scaled frame
         region, a, scale = region[keep], a[keep], scale[keep]
         a /= scale[:, None]
+        c = b[region] / scale
         kind, i = (uncut & (coord[2] - coord[0] * u - coord[1] * eps < _COORD_FLOOR)).nonzero()
         if not (len(region) or len(i)):
             break
-        buf, basis = _append_rows(buf, basis, nonbasic, *_cut_rows(
-            seed, sigma, a, b[region] / scale, coord[:, kind, i], i))
         in_pool[region] = False
         uncut[kind, i] = False
         stats.constraints_added += len(region) + len(i)

@@ -296,6 +296,17 @@ def forward_batch(net: Network, X: np.ndarray) -> np.ndarray:
     return X
 
 
+def _seed_vector(net: Network, seed) -> np.ndarray:
+    """seed as a float vector; ValueError unless it has the net's input shape
+    and finite coordinates."""
+    seed = np.asarray(seed, dtype=float)
+    if seed.shape != (net.input_dim,):
+        raise ValueError(f"seed shape {seed.shape}, expected ({net.input_dim},)")
+    if not np.isfinite(seed).all():
+        raise ValueError("seed has a non-finite coordinate")
+    return seed
+
+
 def classify(net: Network, x: np.ndarray) -> int:
     """Predicted label: argmax of the logits, ties broken by lowest index."""
     return int(np.argmax(forward(net, x)))

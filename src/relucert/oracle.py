@@ -18,7 +18,7 @@ import numpy as np
 
 from .encoder import build_disjunctive, output_constraints
 from .lp import INFEASIBLE, OPTIMAL, SimplexError, lazy_solve
-from .model import Network, classify, forward_batch
+from .model import Network, _seed_vector, classify, forward_batch
 
 _GRID_CHUNK = 1 << 16
 _GRID_MAX_POINTS = 10 ** 7
@@ -66,7 +66,7 @@ def pattern_robustness(net: Network, seed, pattern):
 
     Returns (rho, witness, target); rho is +inf when no target is reachable.
     """
-    seed = np.asarray(seed, dtype=float)
+    seed = _seed_vector(net, seed)
     label = classify(net, seed)
     targets = [t for t in range(net.num_labels) if t != label]
     return _pattern_best(build_disjunctive(net).instantiate(pattern), seed, targets)
@@ -78,7 +78,7 @@ def exact_robustness(net: Network, seed, max_sites: int = 16) -> ExactResult:
     Refuses when the pattern count exceeds 2**max_sites; the per-pattern cost
     is a handful of small LPs, so the guard caps total work.
     """
-    seed = np.asarray(seed, dtype=float)
+    seed = _seed_vector(net, seed)
     encoding = build_disjunctive(net)
     total = encoding.num_patterns()
     if total > 2 ** max_sites:
@@ -107,7 +107,7 @@ def grid_robustness(net: Network, seed, radius: float, resolution: float) -> flo
     step. Guarded to n <= 3 inputs and to at most _GRID_MAX_POINTS grid
     points because the grid is exponential in n.
     """
-    seed = np.asarray(seed, dtype=float)
+    seed = _seed_vector(net, seed)
     n = seed.shape[0]
     if n > 3:
         raise ValueError(f"grid search limited to 3 input dims, got {n}")

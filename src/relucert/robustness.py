@@ -19,7 +19,7 @@ import numpy as np
 
 from .encoder import extract_region, output_constraints
 from .lp import INFEASIBLE, OPTIMAL, LazyStats, SimplexError, lazy_solve
-from .model import Network, _runner_up, classify, forward
+from .model import Network, _runner_up, _seed_vector, classify, forward
 
 INFINITE_RHO = math.inf
 
@@ -124,15 +124,15 @@ def pointwise_robustness(net: Network, seed, targets="second", margin: float = 0
     solve's lazy stats; a record that finds nothing carries the sums over the
     solves it made (the largest final_active_count among them).
 
-    Raises ValueError for a seed of the wrong shape or with a non-finite
-    coordinate, and SimplexError when a solved target stops short of optimal or
-    infeasible, e.g. at the iteration limit; a skipped target is never solved.
+    Raises ValueError, before any bound or solve, for a seed of the wrong shape
+    or with a non-finite coordinate, a margin that is not finite and >= 0, or
+    a fixed target that is not an int (a bool is not one); SimplexError when a
+    solved target stops short of optimal or infeasible, e.g. at the iteration
+    limit. A skipped target is never solved.
     """
-    seed = np.asarray(seed, dtype=float)
-    if seed.shape != (net.input_dim,):
-        raise ValueError(f"seed shape {seed.shape}, expected ({net.input_dim},)")
-    if not np.isfinite(seed).all():
-        raise ValueError("seed has a non-finite coordinate")
+    seed = _seed_vector(net, seed)
+    if not 0.0 <= margin < math.inf:
+        raise ValueError(f"margin must be finite and >= 0, got {margin}")
     if net.num_labels < 2:
         raise ValueError("certification needs at least two labels")
     logits = forward(net, seed)
@@ -141,13 +141,15 @@ def pointwise_robustness(net: Network, seed, targets="second", margin: float = 0
         candidates = [_runner_up(logits, label)]
     elif targets == "all":
         candidates = [t for t in range(net.num_labels) if t != label]
-    else:
+    elif isinstance(targets, (int, np.integer)) and not isinstance(targets, bool):
         target = int(targets)
         if target == label:
             raise ValueError(f"fixed target {target} equals the predicted label")
         if not 0 <= target < net.num_labels:
             raise ValueError(f"target {target} out of range [0, {net.num_labels})")
         candidates = [target]
+    else:
+        raise ValueError(f"targets must be 'second', 'all' or an int label, got {targets!r}")
 
     domain = net.input_domain if respect_domain else None
     region = extract_region(net, seed)

@@ -367,6 +367,7 @@ def test_usage_error_exit_code():
     ("finetune", "--lr", "nan"), ("finetune", "--lr", "-0.1"), ("finetune", "--lr", "inf"),
     ("finetune", "--lr-scale", "-1"), ("finetune", "--lr-scale", "nan"),
     ("finetune", "--fgsm-eps", "nan"), ("finetune", "--fgsm-eps", "-0.5"),
+    ("finetune", "--fgsm-eps", "0"),
 ])
 def test_bad_numeric_flags_are_usage_errors(tmp_path, trap_model, capsys,
                                             command, flag, value):
@@ -378,6 +379,19 @@ def test_bad_numeric_flags_are_usage_errors(tmp_path, trap_model, capsys,
     assert main(argv) == 1
     assert f"argument {flag}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_fgsm_attack_without_an_epsilon_is_a_usage_error(tmp_path, trap_model, capsys):
+    """It exited 2 once the model and the data had loaded; it is a usage
+    error, and no file is written."""
+    data = tmp_path / "one.csv"
+    data.write_text("0, 0.0\n")
+    out = tmp_path / "out"
+    assert main(["finetune", "--model", str(trap_model), "--data", str(data),
+                 "--attack", "fgsm", "--out-model", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument --fgsm-eps")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["model.json", "one.csv"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "x"])

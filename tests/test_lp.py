@@ -267,11 +267,18 @@ def _random_certification_instance(rng, dims=(2, 6, 3), domain=None, margin=0.0)
     return seed, region.constraints, region.bias, G, h
 
 
+def _unit_rows(A, b):
+    """Rows A x + b >= 0 scaled by lp._row_scale to unit max coefficient, as
+    (A', b'): the rows lazy_solve writes into its tableau."""
+    scale = lp._row_scale(A)
+    return A / scale[:, None], b / scale
+
+
 def _eager_problem(seed, A, b, G, h):
     """The whole min-epsilon LP in the generic form, every row present and
-    unit-scaled by lp._unit_rows, as lazy_solve scales its rows."""
+    unit-scaled as lazy_solve scales its rows."""
     full = linf_box_problem(seed)
-    for rows, rhs in (lp._unit_rows(G, h), lp._unit_rows(A, b)):
+    for rows, rhs in (_unit_rows(G, h), _unit_rows(A, b)):
         for row, r in zip(rows, rhs):
             full.add(np.append(row, 0.0), ">=", -r)
     return full
@@ -280,7 +287,7 @@ def _eager_problem(seed, A, b, G, h):
 def test_scaled_constraints_unit_max_rows():
     A = np.array([[2.0, -4.0], [0.0, 0.0], [0.5, 0.25]])
     b = np.array([1.0, 3.0, -1.0])
-    rows, rhs = lp._unit_rows(A, b)
+    rows, rhs = _unit_rows(A, b)
     assert np.array_equal(rows, [[0.5, -1.0], [0.0, 0.0], [1.0, 0.5]])
     # a zero row keeps scale 1: 0 >= -3
     assert (-rhs).tolist() == [-0.25, -3.0, 2.0]
@@ -381,6 +388,67 @@ def test_exchange_is_a_pivot_of_the_full_tableau():
         for j, label in enumerate(nonbasic):
             assert T[:, 1 + j].tobytes() == F[:, 1 + label].tobytes()
         assert np.array_equal(F[1:, 1 + basis], np.eye(m)) and not F[0, 1 + basis].any()
+
+
+@pytest.mark.parametrize("n", [14, 15, 16, 17])
+def test_appended_rows_are_the_full_tableaus_reduction(n):
+    """Rows appended to a random dual-feasible condensed tableau of n + 2
+    columns (on both sides of a multiple of 16) hold, within 1e-12, the full
+    tableau's reduction rows[:, nonbasic] - rows[:, basis] @ T, every slack
+    label reading 0; their slacks take the next labels. With no row yet the
+    reduction subtracts +0.0, so the rows are written as given, signed zeros
+    included."""
+    rng = np.random.default_rng(269 + n)
+    for m in range(12):
+        k = int(rng.integers(1, 6))
+        labels = rng.permutation(n + 1 + m)
+        basis, nonbasic = labels[:m], labels[m:]
+        buf = np.zeros((m + 1 + int(rng.integers(0, 2 * k)), n + 2))  # may need to grow
+        buf[:m + 1] = rng.normal(size=(m + 1, n + 2)) * (rng.random((m + 1, n + 2)) < 0.7)
+        buf[0, 1:] = np.abs(buf[0, 1:])
+        rows = rng.normal(size=(k, n + 2)) * (rng.random((k, n + 2)) < 0.7)
+        rows[rng.random((k, n + 2)) < 0.1] = -0.0
+        rows[:, -1] = 0.0
+        rhs = rng.normal(size=k)
+        T = buf[:m + 1].copy()
+        F = _full_form(T, basis, nonbasic)
+        R = np.zeros((k, F.shape[1]))
+        R[:, 0], R[:, 1:n + 2] = rhs, rows[:, :n + 1]
+        R -= R[:, 1 + basis] @ F[1:]
+        grown, appended = lp._append_rows(buf, basis, nonbasic, rows, rhs)
+        assert grown[:m + 1].tobytes() == T.tobytes()
+        block = grown[m + 1:m + k + 1]
+        np.testing.assert_allclose(block, R[:, np.r_[0, 1 + nonbasic]], rtol=0, atol=1e-12)
+        assert appended.tolist() == [*basis, *range(n + 1 + m, n + 1 + m + k)]
+        if m == 0:
+            assert block.tobytes() == np.column_stack([rhs, rows[:, nonbasic]]).tobytes()
+
+
+def test_every_batch_is_built_by_cut_rows_then_appended(monkeypatch):
+    """The output rows are the first batch: unit-scaled and with no coordinate
+    cut, they go through _cut_rows and _append_rows like every later batch,
+    so each dual simplex run follows one call of each."""
+    seed, A, b, G, h = _growth_instance()
+    G, h = 3.0 * G, 3.0 * h  # x0 >= 1 at scale 3
+    built, appended = [], []
+    real_cut, real_append = lp._cut_rows, lp._append_rows
+
+    def cut_spy(seed, sigma, a, c, coord, i):
+        built.append((a.copy(), c.copy(), len(i)))
+        return real_cut(seed, sigma, a, c, coord, i)
+
+    def append_spy(buf, basis, nonbasic, rows, rhs):
+        appended.append(len(rows))
+        return real_append(buf, basis, nonbasic, rows, rhs)
+
+    monkeypatch.setattr(lp, "_cut_rows", cut_spy)
+    monkeypatch.setattr(lp, "_append_rows", append_spy)
+    sol, stats = lazy_solve(seed, A, b, G, h)
+    assert sol.status == "optimal"
+    assert len(built) == len(appended) == stats.outer_iterations == 3
+    a, c, coordinate_cuts = built[0]
+    assert a.tolist() == [[1.0, 0.0]] and c.tolist() == [-1.0] and coordinate_cuts == 0
+    assert appended[0] == len(G) and sum(appended[1:]) == stats.constraints_added
 
 
 @pytest.mark.parametrize("line, stall, entering", [

@@ -234,3 +234,21 @@ def test_oracle_agrees_with_highs_on_every_pattern(net, seed):
     assert feasible > 0
     if len(seed) == 2:  # 3 lines cut the plane into at most 7 of the 8 patterns' cells
         assert feasible <= 7
+
+
+@pytest.mark.parametrize("seed", [[math.nan, 0.0], [math.inf, 0.0], [0.0, 0.0, 0.0]])
+@pytest.mark.parametrize("entry", ["pointwise", "exact", "pattern", "grid"])
+def test_every_entry_point_rejects_a_bad_seed(entry, seed):
+    """A non-finite seed made exact_robustness and pattern_robustness die on an
+    internal argmin and grid_robustness return inf; every entry point checks
+    the seed's shape and finiteness alike."""
+    net = random_dense_relu_net(np.random.default_rng(0), [2, 4, 3])
+    pattern = extract_region(net, np.zeros(2)).pattern
+    call = {"pointwise": lambda x: pointwise_robustness(net, x),
+            "exact": lambda x: exact_robustness(net, x),
+            "pattern": lambda x: pattern_robustness(net, x, pattern),
+            "grid": lambda x: grid_robustness(net, x, radius=1.0, resolution=0.1)}[entry]
+    message = ("seed has a non-finite coordinate" if len(seed) == 2
+               else r"seed shape \(3,\), expected \(2,\)")
+    with pytest.raises(ValueError, match=message):
+        call(np.array(seed))

@@ -476,3 +476,33 @@ def test_equal_rho_goes_to_the_lower_target():
     assert record.target_label == 1
     assert _without_timing(record) == _without_timing(fixed[1])
 
+
+
+@pytest.mark.parametrize("targets", ["second", "all"])
+@pytest.mark.parametrize("margin", [math.nan, math.inf, -1.0])
+def test_margin_not_finite_and_nonnegative_is_rejected_before_any_bound_or_solve(
+        monkeypatch, targets, margin):
+    """A NaN or infinite margin passed the margin < 0 check, and the solve
+    died inside the dual simplex on the argmin of an empty sequence."""
+    net = random_dense_relu_net(np.random.default_rng(0), [3, 6, 4])
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a bound or a solve ran")
+
+    monkeypatch.setattr(relucert.robustness, "target_lower_bounds", unreachable)
+    monkeypatch.setattr(relucert.robustness, "lazy_solve", unreachable)
+    with pytest.raises(ValueError, match="margin must be finite and >= 0"):
+        pointwise_robustness(net, np.zeros(3), targets=targets, margin=margin)
+
+
+@pytest.mark.parametrize("targets", [2.7, True, np.bool_(True), "2", None])
+def test_fixed_target_must_be_an_int(gradient_trap_net, targets):
+    """2.7 solved target 2 and True target 1."""
+    with pytest.raises(ValueError, match="targets must be 'second', 'all' or an int label"):
+        pointwise_robustness(gradient_trap_net, np.array([0.0]), targets=targets)
+
+
+def test_fixed_target_may_be_a_numpy_integer(gradient_trap_net):
+    records = [pointwise_robustness(gradient_trap_net, np.array([0.0]), targets=t)
+               for t in (2, np.int64(2), np.uint8(2))]
+    assert {(r.target_label, r.rho_hat) for r in records} == {(2, records[0].rho_hat)}
