@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from .affine import AffineVector, affine_dense, maxpool_fix, relu_fix
-from .model import Conv, Dense, MaxPool, Network, Relu
+from .model import Conv, Dense, MaxPool, Network, Relu, _seed_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,11 +136,10 @@ def extract_region(net: Network, seed) -> LinearRegion:
 
     ReLU units with seed pre-activation > 0 stay active (row pre >= 0); units
     at <= 0 are fixed inactive (row -pre >= 0, output zero). Pool windows fix
-    their seed argmax, lowest index on ties.
+    their seed argmax, lowest index on ties. Raises ValueError for a seed of
+    the wrong shape or with a non-finite coordinate.
     """
-    seed = np.asarray(seed, dtype=float)
-    if seed.shape != (net.input_dim,):
-        raise ValueError(f"seed shape {seed.shape}, expected ({net.input_dim},)")
+    seed = _seed_vector(net, seed)
     return _propagate(net, lambda pre: pre.eval(seed) > 0.0,
                       lambda pre, windows: np.argmax(pre.eval(seed)[windows], axis=1))
 

@@ -1,5 +1,6 @@
-"""Linear programs: lazy_solve, the package's min-epsilon solver, and a
-generic two-phase simplex that nothing in the package calls.
+"""Linear programs: lazy_solve, the package's min-epsilon solver, the rules its
+callers share (holder_bounds, solved), and a generic two-phase simplex that
+nothing in the package calls.
 
 lazy_solve minimizes eps = ||x - seed||_inf over output rows, region rows
 and an optional input domain, with a dual simplex on the shifted variables
@@ -105,6 +106,14 @@ ITERATION_LIMIT = "iteration_limit"
 class SimplexError(RuntimeError):
     """A stop that proves nothing: lazy_solve's iteration limit, or an unbounded
     program in the generic simplex (a min-epsilon LP cannot be, as eps >= 0)."""
+
+
+def solved(solution, what) -> bool:
+    """Whether the solve reached optimal (False: proved infeasible); any other
+    stop proves nothing and raises SimplexError, "<status> on <what>"."""
+    if solution.status not in (OPTIMAL, INFEASIBLE):
+        raise SimplexError(f"{solution.status} on {what}")
+    return solution.status == OPTIMAL
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,16 +375,25 @@ def _cut_rows(seed, sigma, a, c, coord, i):
     return rows, rhs
 
 
+def holder_bounds(seed, G, h):
+    """gap_j / ||G_j||_1, gap_j = -(G_j seed + h_j), for every row G_j x + h_j
+    >= 0 along G's last axis; an all-zero row gives +inf when the seed
+    violates it (nothing meets it) and -inf otherwise. Where gap_j > 0 it is a
+    lower bound on ||x - seed||_inf over any x that meets row j, since
+    |G_j (x - seed)| <= ||G_j||_1 ||x - seed||_inf (Hoelder)."""
+    gap = -(G @ seed + h)
+    norm = np.abs(G).sum(axis=-1)
+    return np.divide(gap, norm, out=np.where(gap > 0, np.inf, -np.inf), where=norm > 0)
+
+
 def _orientation(seed, G, h):
     """-sign(G_j), with +1 where G_j is 0, for the output row j with the
-    largest gap_j / ||G_j||_1 (rows with ||G_j||_1 = 0 last): the direction
-    in which the seed reaches that row's Hoelder vertex."""
+    largest holder_bounds: the direction in which the seed reaches that row's
+    Hoelder vertex (a violated all-zero row comes first, and the program is
+    infeasible whichever row is taken)."""
     if len(G) == 0:
         return np.ones(len(seed))
-    norm = np.abs(G).sum(axis=1)
-    score = np.full(len(G), -np.inf)
-    np.divide(-(G @ seed + h), norm, out=score, where=norm > 0)
-    return np.where(G[int(score.argmax())] > 0, -1.0, 1.0)
+    return np.where(G[int(holder_bounds(seed, G, h).argmax())] > 0, -1.0, 1.0)
 
 
 def _append_rows(buf, basis, nonbasic, rows, rhs):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import build_disjunctive, output_constraints
-from .lp import INFEASIBLE, OPTIMAL, SimplexError, lazy_solve
+from .lp import lazy_solve, solved
 from .model import Network, _seed_vector, classify, forward_batch
 
 _GRID_CHUNK = 1 << 16
@@ -33,19 +33,11 @@ class ExactResult:
     patterns_total: int
 
 
-def _solved(solution, what):
-    """Whether the solve reached optimal (False: proved infeasible); any other
-    stop proves nothing and raises SimplexError."""
-    if solution.status not in (OPTIMAL, INFEASIBLE):
-        raise SimplexError(f"{solution.status} on {what}")
-    return solution.status == OPTIMAL
-
-
 def _signs_feasible(region, seed) -> bool:
     """Whether the region is nonempty, by its min-epsilon LP from the seed."""
     solution, _ = lazy_solve(seed, region.constraints, region.bias,
                              np.zeros((0, len(seed))), np.zeros(0))
-    return _solved(solution, "pattern feasibility")
+    return solved(solution, "pattern feasibility")
 
 
 def _pattern_best(region, seed, targets):
@@ -56,7 +48,7 @@ def _pattern_best(region, seed, targets):
     for target in targets:
         solution, _ = lazy_solve(seed, region.constraints, region.bias,
                                  *output_constraints(region, target))
-        if _solved(solution, f"target {target}") and solution.objective_value < best[0]:
+        if solved(solution, f"target {target}") and solution.objective_value < best[0]:
             best = (solution.objective_value, solution.z[:-1], target)
     return best
 

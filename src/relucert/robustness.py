@@ -5,9 +5,8 @@ minimize the L-infinity perturbation radius subject to the piece's halfspaces
 (lazily enforced) and the constraints making a target label win. The result
 overapproximates the true pointwise robustness because any feasible point of
 the restricted program is a genuine adversarial example. Over several target
-labels, a target whose lower bound (rho_lower_bound, computed for all of them
-at once by target_lower_bounds) shows it cannot beat the best radius so far is
-not solved.
+labels, a target whose Hoelder lower bound (target_lower_bounds, from
+lp.holder_bounds) shows it cannot beat the best radius so far is not solved.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import extract_region, output_constraints
-from .lp import INFEASIBLE, OPTIMAL, LazyStats, SimplexError, lazy_solve
+from .lp import LazyStats, _row_scale, holder_bounds, lazy_solve, solved
 from .model import Network, _runner_up, _seed_vector, classify, forward
 
 INFINITE_RHO = math.inf
@@ -79,32 +78,17 @@ def record_from_json(obj: dict) -> RobustnessRecord:
     )
 
 
-def rho_lower_bound(seed, G, h) -> float:
-    """A lower bound on min ||x - seed||_inf subject to G x + h >= 0 (and any
-    further rows): the largest gap_j / ||G_j||_1 over the rows the seed
-    violates by gap_j = -(G_j seed + h_j) > 0, since |G_j (x - seed)| <=
-    ||G_j||_1 ||x - seed||_inf (Hoelder). 0 when the seed violates no row,
-    +inf when it violates an all-zero row (nothing satisfies that row)."""
-    gap = -(G @ seed + h)
-    norm = np.abs(G).sum(axis=1)
-    violated = gap > 0
-    with np.errstate(divide="ignore"):
-        return float(np.max(gap[violated] / norm[violated], initial=0.0))
-
-
 def target_lower_bounds(region, seed, targets, margin: float = 0.0) -> np.ndarray:
-    """rho_lower_bound(seed, *output_constraints(region, t, margin)) for each
-    label t in targets, in one pass over the region's logits l at the seed
-    (L x L for every target): target t's row against label j is violated by
-    gap_tj = l_j - l_t + margin and has 1-norm ||W_t - W_j||_1."""
+    """For each label t in targets, the largest holder_bounds of its output
+    rows (output_constraints(region, t, margin)), or 0 when the seed violates
+    none: a lower bound on target t's rho. The rows of every target are
+    stacked (targets x labels), W_t - W_j and c_t - c_j - margin for logits
+    W x + c, and each label's row against itself is masked."""
     targets = np.asarray(targets, dtype=int)
-    W = region.logits.coeffs
-    logits = W @ seed + region.logits.bias
-    gap = logits[None, :] - logits[targets, None] + margin
-    norm = np.abs(W[targets, None, :] - W[None, :, :]).sum(axis=2)
-    violated = (gap > 0) & (targets[:, None] != np.arange(len(logits)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(violated, gap / norm, 0.0).max(axis=1, initial=0.0)
+    W, c = region.logits.coeffs, region.logits.bias
+    bounds = holder_bounds(seed, W[targets, None] - W, c[targets, None] - c - margin)
+    bounds[np.arange(len(targets)), targets] = -np.inf
+    return bounds.max(axis=1, initial=0.0)
 
 
 def pointwise_robustness(net: Network, seed, targets="second", margin: float = 0.0,
@@ -160,18 +144,16 @@ def pointwise_robustness(net: Network, seed, targets="second", margin: float = 0
         order = sorted(zip(bounds.tolist(), candidates))
     best = RobustnessRecord(seed_index, label, candidates[0] if len(candidates) == 1 else None,
                             INFINITE_RHO)
-    solved = []
+    spent = []
     for bound, target in order:
         if bound > best.rho_hat + 1e-9 * (1.0 + best.rho_hat):
             break
         G, h = output_constraints(region, target, margin)
         solution, stats = lazy_solve(seed, region.constraints, region.bias, G, h, domain)
-        solved.append(stats)
-        if solution.status == INFEASIBLE:
+        spent.append(stats)
+        if not solved(solution, f"target {target}"):
             continue
-        if solution.status != OPTIMAL:
-            raise SimplexError(f"{solution.status} on target {target}")
-        rho = max(solution.objective_value, 0.0)
+        rho = solution.objective_value
         if rho < best.rho_hat or (rho == best.rho_hat and target < best.target_label):
             best = RobustnessRecord(seed_index, label, target, rho,
                                     adversarial=solution.z[: net.input_dim], lazy=stats)
@@ -179,11 +161,11 @@ def pointwise_robustness(net: Network, seed, targets="second", margin: float = 0
         best.flips = bool(classify(net, best.adversarial) != label)
     else:
         best.lazy = LazyStats(
-            outer_iterations=sum(s.outer_iterations for s in solved),
-            constraints_added=sum(s.constraints_added for s in solved),
-            final_active_count=max(s.final_active_count for s in solved),
-            total_pivots=sum(s.total_pivots for s in solved),
-            wall_time=sum(s.wall_time for s in solved))
+            outer_iterations=sum(s.outer_iterations for s in spent),
+            constraints_added=sum(s.constraints_added for s in spent),
+            final_active_count=max(s.final_active_count for s in spent),
+            total_pivots=sum(s.total_pivots for s in spent),
+            wall_time=sum(s.wall_time for s in spent))
     return best
 
 
@@ -210,7 +192,8 @@ def extract_adversarial(record: RobustnessRecord, net: Network,
 
 @dataclass(frozen=True)
 class CertificateCheck:
-    """Slack/geometry diagnostics of a finite record against its region."""
+    """Slack/geometry diagnostics of a finite record against its region; the
+    slacks of the region and output rows are unit-scaled, as lazy_solve's."""
 
     min_slack: float
     norm_gap: float
@@ -223,14 +206,16 @@ class CertificateCheck:
 
 def verify_record(net: Network, seed, record: RobustnessRecord,
                   margin: float = 0.0) -> CertificateCheck:
-    """Re-derive the seed's region and check the recorded certificate against it."""
+    """Re-derive the seed's region and check the recorded certificate against it;
+    ValueError for a record that found nothing or a bad seed (_seed_vector)."""
     if not record.found or record.adversarial is None:
         raise ValueError("nothing to verify on an infeasible record")
-    seed = np.asarray(seed, dtype=float)
+    seed = _seed_vector(net, seed)
     region = extract_region(net, seed)
     x = record.adversarial
+    A, b = region.constraints, region.bias
     G, h = output_constraints(region, record.target_label, margin)
-    slacks = np.concatenate([region.constraints @ x + region.bias, G @ x + h])
+    slacks = np.concatenate([(A @ x + b) / _row_scale(A), (G @ x + h) / _row_scale(G)])
     min_slack = slacks.min(initial=math.inf)
     norm_gap = abs(np.abs(x - seed).max() - record.rho_hat)
     logits = region.logits.eval(x)

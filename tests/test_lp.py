@@ -9,8 +9,7 @@ import scipy.optimize as scipy_opt
 import relucert
 from relucert import extract_region, lazy_solve, output_constraints, second_label
 from relucert import lp
-from relucert.lp import LPProblem, SimplexError, linf_box_problem, simplex_solve
-from relucert.robustness import rho_lower_bound
+from relucert.lp import LPProblem, SimplexError, holder_bounds, linf_box_problem, simplex_solve
 from helpers import highs_min_eps, random_dense_relu_net
 
 
@@ -306,11 +305,38 @@ def test_lazy_empty_pool_equals_plain_solve():
     assert stats.constraints_added == 0
 
 
+def test_holder_bounds_of_all_zero_rows_are_infinite():
+    """gap / ||G_j||_1 per row along the last axis; an all-zero row gives +inf
+    when the seed violates it and -inf when it holds, stacked rows alike."""
+    seed = np.array([1.0, -2.0])
+    G = np.array([[2.0, 1.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
+    h = np.array([-3.0, -1.0, 0.5, 0.5])
+    # gaps: 3, 1 (violated zero row), -0.5 (held zero row), 0.5
+    expected = [1.0, np.inf, -np.inf, 0.5]
+    assert holder_bounds(seed, G, h).tolist() == expected
+    stacked = holder_bounds(seed, np.stack([G, G[::-1]]), np.stack([h, h[::-1]]))
+    assert stacked.tolist() == [expected, expected[::-1]]
+    assert holder_bounds(seed, np.zeros((2, 0, 2)), np.zeros((2, 0))).shape == (2, 0)
+
+
+def test_orientation_is_the_row_of_the_largest_holder_bound():
+    rng = np.random.default_rng(271)
+    for trial in range(40):
+        n, k = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        seed = rng.normal(size=n)
+        G = rng.normal(size=(k, n)) * (rng.random((k, n)) < 0.7)
+        if trial % 5 == 0:
+            G[rng.integers(k)] = 0.0
+        h = rng.normal(size=k)
+        j = int(holder_bounds(seed, G, h).argmax())
+        assert np.array_equal(lp._orientation(seed, G, h), np.where(G[j] > 0, -1.0, 1.0))
+
+
 def test_lazy_single_output_row_is_one_pivot_to_the_hoelder_vertex():
     """The oriented start moves every coordinate the way the row's signs
     point, so one pivot on eps reaches the row's Hoelder vertex, which is the
-    optimum when the pool is empty: rho equals rho_lower_bound, and no box
-    row is cut in (u = 0)."""
+    optimum when the pool is empty: rho equals the row's Hoelder bound, and no
+    box row is cut in (u = 0)."""
     rng = np.random.default_rng(251)
     for _ in range(20):
         n = int(rng.integers(1, 8))
@@ -320,7 +346,8 @@ def test_lazy_single_output_row_is_one_pivot_to_the_hoelder_vertex():
         h = -g @ seed - rng.uniform(0.1, 2.0, size=1)
         sol, stats = lazy_solve(seed, np.zeros((0, n)), np.zeros(0), g, h)
         assert sol.status == "optimal"
-        assert sol.objective_value == pytest.approx(rho_lower_bound(seed, g, h), abs=1e-12)
+        assert sol.objective_value == pytest.approx(holder_bounds(seed, g, h).max(initial=0.0),
+                                                   abs=1e-12)
         assert sol.pivots == stats.total_pivots == 1
         assert stats.outer_iterations == 1 and stats.constraints_added == 0
         assert stats.final_active_count == 1

@@ -6,7 +6,7 @@ import pytest
 from relucert import (Dense, Network, Relu, build_disjunctive, classify,
                       exact_robustness, extract_region, grid_robustness,
                       pattern_robustness, pointwise_robustness, satisfiable_at,
-                      satisfiable_labels)
+                      satisfiable_labels, verify_record)
 from relucert import oracle
 from relucert.encoder import output_constraints
 from relucert.lp import ITERATION_LIMIT, LazyStats, LPSolution, SimplexError
@@ -237,17 +237,23 @@ def test_oracle_agrees_with_highs_on_every_pattern(net, seed):
 
 
 @pytest.mark.parametrize("seed", [[math.nan, 0.0], [math.inf, 0.0], [0.0, 0.0, 0.0]])
-@pytest.mark.parametrize("entry", ["pointwise", "exact", "pattern", "grid"])
+@pytest.mark.parametrize("entry", ["pointwise", "exact", "pattern", "grid", "extract", "verify"])
 def test_every_entry_point_rejects_a_bad_seed(entry, seed):
     """A non-finite seed made exact_robustness and pattern_robustness die on an
-    internal argmin and grid_robustness return inf; every entry point checks
-    the seed's shape and finiteness alike."""
+    internal argmin, grid_robustness return inf and extract_region return a
+    region (a NaN seed: every unit inactive), and verify_record did not check
+    the seed at all; every entry point checks the seed's shape and finiteness
+    alike."""
     net = random_dense_relu_net(np.random.default_rng(0), [2, 4, 3])
     pattern = extract_region(net, np.zeros(2)).pattern
+    record = pointwise_robustness(net, np.zeros(2))
+    assert record.found
     call = {"pointwise": lambda x: pointwise_robustness(net, x),
             "exact": lambda x: exact_robustness(net, x),
             "pattern": lambda x: pattern_robustness(net, x, pattern),
-            "grid": lambda x: grid_robustness(net, x, radius=1.0, resolution=0.1)}[entry]
+            "grid": lambda x: grid_robustness(net, x, radius=1.0, resolution=0.1),
+            "extract": lambda x: extract_region(net, x),
+            "verify": lambda x: verify_record(net, x, record)}[entry]
     message = ("seed has a non-finite coordinate" if len(seed) == 2
                else r"seed shape \(3,\), expected \(2,\)")
     with pytest.raises(ValueError, match=message):

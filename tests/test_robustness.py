@@ -11,8 +11,8 @@ from relucert import (Dense, LPSolution, Network, Relu, SimplexError, classify,
                       lazy_solve, load_dataset, load_model, output_constraints,
                       pointwise_robustness, record_from_json, record_to_json,
                       verify_record)
-from relucert.lp import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, LazyStats
-from relucert.robustness import RobustnessRecord, rho_lower_bound, target_lower_bounds
+from relucert.lp import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, LazyStats, holder_bounds
+from relucert.robustness import RobustnessRecord, target_lower_bounds
 from helpers import highs_min_eps, naive_forward, random_dense_relu_net
 
 DATA = Path(__file__).parent / "data"
@@ -155,6 +155,32 @@ def test_certificate_validity_on_random_nets():
             assert check.norm_gap <= 1e-6
             assert check.ranking_slack >= -1e-6
     assert checked >= 20
+
+
+def test_verify_record_scales_rows_like_the_solver():
+    """The witness x = 0.50000005 misses the region row -1000 x + 500 >= 0 by
+    5e-8 after unit scaling, within the solver's FEAS_TOL; the raw slack,
+    -5e-5, failed the check on this valid record."""
+    net = Network([Dense([[1000.0], [-1000.0]], [1000.0, 500.0]), Relu(),
+                   Dense([[0.0, 0.0], [0.001, 0.0]], [1.5 + 5e-8, 0.0])], 1, 2)
+    seed = np.zeros(1)
+    record = pointwise_robustness(net, seed)
+    assert record.rho_hat == pytest.approx(0.50000005, abs=1e-12)
+    check = verify_record(net, seed, record)
+    assert -1e-7 <= check.min_slack < 0.0
+    assert check.ok
+
+
+def test_verify_record_fails_a_witness_off_a_small_row():
+    """Output row 1e-3 x - 1e-3 >= 0 (x >= 1) met short by 5e-7 raw, 5e-4 after
+    unit scaling: the raw slack passed the 1e-6 check."""
+    net = Network([Dense([[0.0], [1e-3]], [0.0, -1e-3])], 1, 2)
+    x = np.array([1.0 - 5e-4])
+    record = RobustnessRecord(0, 0, 1, 1.0 - 5e-4, adversarial=x)
+    check = verify_record(net, np.zeros(1), record)
+    assert check.min_slack == pytest.approx(-5e-4, rel=1e-9)
+    assert check.norm_gap == 0.0 and check.ranking_slack >= -1e-6
+    assert not check.ok
 
 
 def test_extract_adversarial_unrounded(gradient_trap_net):
@@ -336,8 +362,9 @@ def test_flips_at_an_exact_tie_follows_argmax(weights, bias, label, flips):
 @pytest.mark.parametrize("with_region", [False, True])
 @pytest.mark.parametrize("with_domain", [False, True])
 def test_rho_lower_bound_is_below_highs(with_region, with_domain):
-    """gap / ||g||_1 of any violated output row never exceeds the whole LP's
-    optimum; a violated all-zero row makes the bound and the LP infinite."""
+    """gap / ||g||_1 of any violated output row (the largest holder_bounds, or
+    0) never exceeds the whole LP's optimum; a violated all-zero row makes the
+    bound and the LP infinite."""
     rng = np.random.default_rng(241 + 2 * with_region + with_domain)
     domain = (-2.0, 2.0) if with_domain else None
     positive = 0
@@ -351,7 +378,7 @@ def test_rho_lower_bound_is_below_highs(with_region, with_domain):
         m = int(rng.integers(1, 6)) if with_region else 0
         A = rng.normal(size=(m, n))
         b = -A @ seed + rng.uniform(0.0, 0.5, size=m)
-        bound = rho_lower_bound(seed, G, h)
+        bound = holder_bounds(seed, G, h).max(initial=0.0)
         ref = highs_min_eps(seed, A, b, G, h, domain)
         if bound == math.inf:
             assert ref is None
@@ -368,10 +395,10 @@ def test_rho_lower_bound_is_exact_for_one_row():
         seed = rng.normal(size=3)
         g = rng.normal(size=(1, 3))
         h = -g @ seed - rng.uniform(0.1, 1.0, size=1)
-        assert rho_lower_bound(seed, g, h) == pytest.approx(highs_min_eps(seed, *none, g, h),
-                                                            abs=1e-9)
+        assert holder_bounds(seed, g, h).max(initial=0.0) == pytest.approx(
+            highs_min_eps(seed, *none, g, h), abs=1e-9)
     # the row shifted so that the seed meets it gives no bound
-    assert rho_lower_bound(seed, g, -h - 2 * g @ seed) == 0.0
+    assert holder_bounds(seed, g, -h - 2 * g @ seed).max(initial=0.0) == 0.0
 
 
 def test_target_lower_bounds_equal_the_per_target_bound():
@@ -393,7 +420,7 @@ def test_target_lower_bounds_equal_the_per_target_bound():
         bounds = target_lower_bounds(region, seed, labels, margin)
         assert bounds.shape == (dims[-1],)
         for t in labels:
-            ref = rho_lower_bound(seed, *output_constraints(region, t, margin))
+            ref = holder_bounds(seed, *output_constraints(region, t, margin)).max(initial=0.0)
             assert bounds[t] == pytest.approx(ref, rel=1e-9, abs=1e-12)
             assert target_lower_bounds(region, seed, [t], margin)[0] == bounds[t]
             infinite += ref == math.inf
@@ -468,7 +495,8 @@ def test_equal_rho_goes_to_the_lower_target():
                          np.array([0.0, -1.0, -1.0]))], 2, 3, input_domain=(0.0, 5.0))
     seed = np.zeros(2)
     region = extract_region(net, seed)
-    assert [rho_lower_bound(seed, *output_constraints(region, t)) for t in (1, 2)] == [1.0, 0.5]
+    assert [holder_bounds(seed, *output_constraints(region, t)).max(initial=0.0)
+            for t in (1, 2)] == [1.0, 0.5]
     fixed = {t: pointwise_robustness(net, seed, targets=t, respect_domain=True)
              for t in (1, 2)}
     assert fixed[1].rho_hat == fixed[2].rho_hat == 1.0
