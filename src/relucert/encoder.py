@@ -144,18 +144,26 @@ def extract_region(net: Network, seed) -> LinearRegion:
                       lambda pre, windows: np.argmax(pre.eval(seed)[windows], axis=1))
 
 
-def output_constraints(region: LinearRegion, target: int,
+def output_constraints(region: LinearRegion, target,
                        margin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Rows G x + h >= 0 forcing the region's logits to rank target on top:
     logit_target - logit_other - margin >= 0 for every other label, in label
-    order."""
-    if not 0 <= target < len(region.logits):
-        raise ValueError(f"target {target} out of range [0, {len(region.logits)})")
+    order: (L - 1) x n rows for one label, targets x (L - 1) x n for an int
+    array of labels. ValueError for a target that is not an integer label in
+    [0, L) (a bool or a float is not one) or a margin not finite and >= 0."""
+    labels = len(region.logits)
+    targets = np.asarray(target)
+    if (targets.dtype.kind not in "iu" or targets.ndim > 1
+            or not set(targets.flat) <= set(range(labels))):
+        raise ValueError(f"target must be an int label in [0, {labels}) or an int array"
+                         f" of them, got {target!r}")
     if not 0.0 <= margin < math.inf:
         raise ValueError(f"margin must be finite and >= 0, got {margin}")
-    others = np.arange(len(region.logits)) != target
+    # each target's other labels: 0 .. L-2, shifted up by one from the target on
+    others = np.arange(labels - 1)
+    others = others + (others >= targets[..., None])
     W, c = region.logits.coeffs, region.logits.bias
-    return W[target] - W[others], c[target] - c[others] - margin
+    return W[targets, None] - W[others], c[targets, None] - c[others] - margin
 
 
 def build_disjunctive(net: Network) -> DisjunctiveEncoding:

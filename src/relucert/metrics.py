@@ -44,9 +44,6 @@ class RobustnessCurve:
         idx = bisect_right(values, epsilon)
         return self.points[idx - 1][1] if idx else 0
 
-    def rows(self):
-        return list(self.points)
-
 
 def compute_stats(rhos, epsilon: float) -> RobustnessStats:
     rhos = list(rhos)

@@ -12,7 +12,7 @@ import gzip
 import itertools
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -218,11 +218,10 @@ def _out_dim(layer: Layer, in_dim: int) -> int:
 
 
 def _check_finite(layer: Layer):
-    if isinstance(layer, (Dense, Conv)):
-        arrays = (layer.weights, layer.bias) if isinstance(layer, Dense) else (layer.kernel, layer.bias)
-        for arr in arrays:
-            if not np.all(np.isfinite(arr)):
-                raise ModelError("contains non-finite weight")
+    for f in fields(layer):
+        value = getattr(layer, f.name)
+        if isinstance(value, np.ndarray) and not np.isfinite(value).all():
+            raise ModelError("contains non-finite weight")
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,33 +335,29 @@ def second_label(net: Network, x: np.ndarray) -> int:
 #              "padding": p, "input_shape": [c, h, w]},
 #             {"type": "maxpool", "window": [wh, ww], "stride": s,
 #              "input_shape": [c, h, w]}]}
+# A layer's keys after "type" are its dataclass fields, in order.
+_LAYER_TYPES = {"dense": Dense, "conv": Conv, "relu": Relu, "maxpool": MaxPool}
+_LAYER_NAMES = {cls: name for name, cls in _LAYER_TYPES.items()}
+
+
+def _json_value(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return list(value) if isinstance(value, tuple) else value
+
 
 def _layer_to_json(layer: Layer) -> dict:
-    if isinstance(layer, Dense):
-        return {"type": "dense", "weights": layer.weights.tolist(), "bias": layer.bias.tolist()}
-    if isinstance(layer, Conv):
-        return {"type": "conv", "kernel": layer.kernel.tolist(), "bias": layer.bias.tolist(),
-                "stride": layer.stride, "padding": layer.padding,
-                "input_shape": list(layer.input_shape)}
-    if isinstance(layer, Relu):
-        return {"type": "relu"}
-    return {"type": "maxpool", "window": list(layer.window), "stride": layer.stride,
-            "input_shape": list(layer.input_shape)}
+    return {"type": _LAYER_NAMES[type(layer)],
+            **{f.name: _json_value(getattr(layer, f.name)) for f in fields(layer)}}
 
 
 def _layer_from_json(obj: dict, index: int) -> Layer:
     try:
         kind = obj["type"]
-        if kind == "dense":
-            return Dense(obj["weights"], obj["bias"])
-        if kind == "conv":
-            return Conv(obj["kernel"], obj["bias"], obj["stride"], obj["padding"],
-                        obj["input_shape"])
-        if kind == "relu":
-            return Relu()
-        if kind == "maxpool":
-            return MaxPool(obj["window"], obj["stride"], obj["input_shape"])
-        raise ModelError(f"unknown layer type {kind!r}")
+        cls = _LAYER_TYPES.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise ModelError(f"unknown layer type {kind!r}")
+        return cls(*[obj[f.name] for f in fields(cls)])
     except (KeyError, TypeError, ValueError) as exc:  # ModelError is a ValueError
         raise ModelError(f"layer {index}: {exc}") from None
 
@@ -417,7 +412,8 @@ class LabeledPoint:
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Labeled points as arrays: row i of X (N x input_dim, float64) has the
-    ground-truth label labels[i] (N ints).
+    ground-truth label labels[i] (N ints). Labels not given as an int array
+    must be integers an int64 holds: ValueError names the first that is not.
 
     ds[i] is row i as a LabeledPoint whose x is a view into X; a slice (or an
     index array) gives a Dataset. Iterating yields the rows as LabeledPoints.
@@ -428,12 +424,19 @@ class Dataset:
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
-        labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
         if X.ndim != 2 or labels.shape != X.shape[:1]:
             raise ValueError(f"X of shape {X.shape} and labels of shape {labels.shape},"
                              " expected (N, input_dim) and (N,)")
+        if labels.dtype.kind not in "iu":
+            values = labels.astype(float)
+            # not below the int64 maximum: NaN, inf and values an int cannot hold
+            bad = np.flatnonzero(~(np.abs(values) < np.iinfo(int).max)
+                                 | (values != np.trunc(values)))
+            if len(bad):
+                raise ValueError(f"item {bad[0]}: label {labels[bad[0]]} is not an integer")
         object.__setattr__(self, "X", X)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", np.asarray(labels, dtype=int))
 
     def __len__(self):
         return len(self.labels)
@@ -448,19 +451,18 @@ class Dataset:
 
 
 def _row_checks(rows, input_dim, num_labels, input_domain):
-    """The checks on parsed rows (label, features...), in the order integer
-    label, feature count, label range, finite features, domain: one (mask of
-    the rows that fail it, message(i, line) for failing row i) pair each.
-    Without num_labels a label must fit an int64."""
+    """The checks on parsed rows (label, features...) against the model's
+    sizes, in the order integer label, input_dim features, label in [0,
+    num_labels), finite features, domain: one (mask of the rows that fail it,
+    message(i, line) for failing row i) pair each."""
     labels, x = rows[:, 0], rows[:, 1:]
-    low, high = (0, num_labels) if num_labels is not None else (-2**63, 2**63)
     checks = [
         (~np.isfinite(labels) | (labels != np.trunc(labels)),
          lambda i, line: f"non-integer label {line.strip().split(',')[0]!r}"),
         (np.full(len(rows), x.shape[1] != input_dim),
          lambda i, line: f"expected {input_dim} features, got {x.shape[1]}"),
-        ((labels < low) | (labels >= high),
-         lambda i, line: f"label {int(labels[i])} out of range [{low}, {high})"),
+        ((labels < 0) | (labels >= num_labels),
+         lambda i, line: f"label {int(labels[i])} out of range [0, {num_labels})"),
         (~np.isfinite(x).all(axis=1), lambda i, line: "non-finite feature"),
     ]
     if input_domain is not None and x.shape[1]:
@@ -492,8 +494,6 @@ def _line_error(path, input_dim, num_labels, input_domain, reason):
                 row = np.array([[_c_float(t) for t in line.strip().split(",")]])
             except ValueError as exc:
                 return DatasetError(f"line {lineno}: {exc}")
-            if input_dim is None:
-                input_dim = row.shape[1] - 1
             for bad, message in _row_checks(row, input_dim, num_labels, input_domain):
                 if bad[0]:
                     return DatasetError(f"line {lineno}: {message(0, line)}")
@@ -505,14 +505,12 @@ def _load_csv(path, input_dim, num_labels, input_domain):
         lines = (line for line in fh if not line.isspace())
         first = next(lines, None)
         if first is None:
-            return Dataset(np.empty((0, input_dim or 0)), np.empty(0, dtype=int))
+            return Dataset(np.empty((0, input_dim)), np.empty(0, dtype=int))
         try:
             rows = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2,
                               comments=None)
         except ValueError as exc:
             raise _line_error(path, input_dim, num_labels, input_domain, exc) from None
-    if input_dim is None:
-        input_dim = rows.shape[1] - 1
     checks = _row_checks(rows, input_dim, num_labels, input_domain)
     if np.logical_or.reduce([bad for bad, _ in checks]).any():
         raise _line_error(path, input_dim, num_labels, input_domain, "a row fails a check")
@@ -537,7 +535,7 @@ def _load_idx(path, labels_path, input_dim, num_labels, input_domain):
         magic, count, rows, cols = struct.unpack(">IIII", header)
         if magic != IDX_IMAGE_MAGIC:
             raise DatasetError(f"{path}: bad image magic 0x{magic:08x}")
-        if input_dim is not None and rows * cols != input_dim:
+        if rows * cols != input_dim:
             raise DatasetError(f"{path}: {rows}x{cols} = {rows * cols} pixels per image,"
                                f" expected input_dim {input_dim}")
         raw = fh.read(count * rows * cols)
@@ -557,16 +555,15 @@ def _load_idx(path, labels_path, input_dim, num_labels, input_domain):
     if input_domain is not None:
         lo, hi = input_domain
         images = lo + images * (hi - lo) / 255.0
-    if num_labels is not None:
-        bad = np.flatnonzero(labels >= num_labels)
-        if len(bad):
-            raise DatasetError(f"item {bad[0]}: label {labels[bad[0]]} out of range"
-                               f" [0, {num_labels})")
+    bad = np.flatnonzero(labels >= num_labels)
+    if len(bad):
+        raise DatasetError(f"item {bad[0]}: label {labels[bad[0]]} out of range"
+                           f" [0, {num_labels})")
     return Dataset(images, labels.astype(int))
 
 
-def load_dataset(path, fmt="csv", *, labels_path=None, input_dim=None,
-                 num_labels=None, input_domain=None) -> Dataset:
+def load_dataset(path, fmt="csv", *, input_dim, num_labels, labels_path=None,
+                 input_domain=None) -> Dataset:
     """Load labeled points from a CSV (label, features...) or an IDX image/label
     pair as a Dataset: X (N x input_dim, float64) and labels (N ints).
 
@@ -574,12 +571,11 @@ def load_dataset(path, fmt="csv", *, labels_path=None, input_dim=None,
     converts each token exactly as float() does except that it rejects
     digit-group underscores ("1_0") and non-ASCII digits. Blank and
     whitespace-only lines are skipped; a file without rows gives an empty
-    Dataset. Labels must be finite integers and features finite; the feature
-    count must be input_dim (by default that of the first line), the label in
-    [0, num_labels) (in the int64 range without num_labels) and every feature
-    in input_domain when these are given. A violation raises DatasetError
-    naming the first bad line in the file, with the first check it fails in
-    that order.
+    Dataset. input_dim and num_labels are the model's: labels must be integers
+    in [0, num_labels), each row must have input_dim features, all finite and
+    in input_domain when one is given. A violation raises DatasetError naming
+    the first bad line in the file, with the first check it fails in the order
+    of _row_checks.
 
     IDX pixel data (0-255) is rescaled linearly onto input_domain when one is
     declared; otherwise raw byte values are kept. An IDX image whose pixel

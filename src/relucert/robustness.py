@@ -81,14 +81,9 @@ def record_from_json(obj: dict) -> RobustnessRecord:
 def target_lower_bounds(region, seed, targets, margin: float = 0.0) -> np.ndarray:
     """For each label t in targets, the largest holder_bounds of its output
     rows (output_constraints(region, t, margin)), or 0 when the seed violates
-    none: a lower bound on target t's rho. The rows of every target are
-    stacked (targets x labels), W_t - W_j and c_t - c_j - margin for logits
-    W x + c, and each label's row against itself is masked."""
-    targets = np.asarray(targets, dtype=int)
-    W, c = region.logits.coeffs, region.logits.bias
-    bounds = holder_bounds(seed, W[targets, None] - W, c[targets, None] - c - margin)
-    bounds[np.arange(len(targets)), targets] = -np.inf
-    return bounds.max(axis=1, initial=0.0)
+    none: a lower bound on target t's rho."""
+    return holder_bounds(seed, *output_constraints(region, targets, margin)).max(
+        axis=-1, initial=0.0)
 
 
 def pointwise_robustness(net: Network, seed, targets="second", margin: float = 0.0,

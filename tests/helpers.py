@@ -202,16 +202,16 @@ def highs_min_eps(seed, A, b, G, h, domain=None):
     return res.fun
 
 
-def reference_load_csv(path, input_dim=None, num_labels=None, input_domain=None):
+def reference_load_csv(path, input_dim, num_labels, input_domain=None):
     """The per-line CSV loader that load_dataset's array loader replaced: one
     float() per token and the checks of each line in turn. Reference for the
     parity tests on files without non-finite values or underscored tokens."""
     from relucert import DatasetError
 
-    def check_point(x, label, lineno, input_dim):
-        if input_dim is not None and len(x) != input_dim:
+    def check_point(x, label, lineno):
+        if len(x) != input_dim:
             raise DatasetError(f"line {lineno}: expected {input_dim} features, got {len(x)}")
-        if num_labels is not None and not 0 <= label < num_labels:
+        if not 0 <= label < num_labels:
             raise DatasetError(f"line {lineno}: label {label} out of range [0, {num_labels})")
         if input_domain is not None and len(x):
             lo, hi = input_domain
@@ -233,8 +233,6 @@ def reference_load_csv(path, input_dim=None, num_labels=None, input_domain=None)
             if label_f != int(label_f):
                 raise DatasetError(f"line {lineno}: non-integer label {tokens[0]!r}")
             label = int(label_f)
-            if input_dim is None:
-                input_dim = len(x)
-            check_point(x, label, lineno, input_dim)
+            check_point(x, label, lineno)
             points.append(LabeledPoint(x, label))
     return points

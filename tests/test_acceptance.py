@@ -155,7 +155,7 @@ def test_05_estimators():
         assert stats.severity == 7.5
         mixed = [5.0, math.inf, 12.5, 20.0, 31.0, math.inf, 0.25]
         curve = compute_curve(mixed)
-        for value, count in curve.rows():
+        for value, count in curve.points:
             assert count == compute_stats(mixed, value).count_below
         assert curve.count_at(20.0) == compute_stats(mixed, 20.0).count_below
 

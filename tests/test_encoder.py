@@ -109,6 +109,28 @@ def test_output_constraints_two_labels():
     assert np.array_equal(h, [c[1] - c[0]])
 
 
+@pytest.mark.parametrize("target, ok", [
+    (-1, False), (4, False), (True, False), (2.0, False), (1.5, False),
+    (np.array([0, 4]), False), (np.array([3, 0, 2, 0, 1]), True),
+    (np.array([2], dtype=np.uint8), True), (np.arange(4, dtype=np.int32), True),
+], ids=["negative", "L", "bool", "integral-float", "fraction", "one-bad-in-array",
+        "int64-array", "uint8-array", "int32-array"])
+def test_output_constraints_take_integer_labels(target, ok):
+    """A target that is not an integer label in [0, L) raises; an int array
+    gives each label's single-target rows, bit for bit, in its own block."""
+    net = random_dense_relu_net(np.random.default_rng(7), [3, 5, 4])
+    region = extract_region(net, np.ones(3))
+    if not ok:
+        with pytest.raises(ValueError, match="target"):
+            output_constraints(region, target, 0.5)
+        return
+    G, h = output_constraints(region, target, 0.5)
+    assert G.shape == (len(target), 3, 3) and h.shape == (len(target), 3)
+    for block, t in enumerate(target.tolist()):
+        G_t, h_t = output_constraints(region, t, 0.5)
+        assert G[block].tobytes() == G_t.tobytes() and h[block].tobytes() == h_t.tobytes()
+
+
 def test_satisfying_points_classify_as_target():
     rng = np.random.default_rng(59)
     net = random_dense_relu_net(rng, [2, 6, 3])

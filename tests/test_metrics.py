@@ -37,17 +37,17 @@ def test_stats_rejects_empty_and_bad_epsilon():
 
 def test_curve_step_points():
     curve = compute_curve([5.0, 25.0, 10.0])
-    assert curve.rows() == [(5.0, 1), (10.0, 2), (25.0, 3)]
+    assert curve.points == ((5.0, 1), (10.0, 2), (25.0, 3))
 
 
 def test_curve_duplicates_collapse():
     curve = compute_curve([5.0, 5.0, 7.0])
-    assert curve.rows() == [(5.0, 2), (7.0, 3)]
+    assert curve.points == ((5.0, 2), (7.0, 3))
 
 
 def test_curve_all_infinite_is_empty():
     curve = compute_curve([math.inf, math.inf])
-    assert curve.rows() == []
+    assert curve.points == ()
     assert curve.count_at(100.0) == 0
 
 
@@ -80,11 +80,11 @@ def test_stats_match_hand_computation(rhos, epsilon):
 def test_curve_agrees_with_stats_at_breakpoints(rhos, epsilon):
     curve = compute_curve(rhos)
     assert curve.count_at(epsilon) == compute_stats(rhos, epsilon).count_below
-    for value, count in curve.rows():
+    for value, count in curve.points:
         assert count == sum(1 for r in rhos if r <= value)
         if value > 0:
             assert count == compute_stats(rhos, value).count_below
-    counts = [c for _, c in curve.rows()]
+    counts = [c for _, c in curve.points]
     assert counts == sorted(counts)
 
 

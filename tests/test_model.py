@@ -160,6 +160,27 @@ def test_model_round_trip_conv_pool(tmp_path):
     assert networks_equal(load_model(path), net)
 
 
+def test_saved_model_file_bytes(tmp_path):
+    """Every layer type, a -0.0 weight, a window size given as 2.0 and a domain
+    given as ints: the keys after "type" are the layer's fields, in order."""
+    net = Network([Conv(np.arange(8.0).reshape(2, 1, 2, 2) / 2 - 1, np.array([0.125, 0.0]),
+                        1, 0, (1, 3, 3)),
+                   Relu(), MaxPool((2.0, 2), 1, (2, 2, 2)),
+                   Dense(np.array([[1.5, -0.0], [0.1, 2.0]]), np.array([0.0, -3.0]))],
+                  9, 2, (0, 1))
+    path = tmp_path / "model.json"
+    save_model(net, path)
+    assert path.read_bytes() == (
+        b'{"input_dim": 9, "num_labels": 2, "input_domain": [0.0, 1.0], "layers": ['
+        b'{"type": "conv", "kernel": [[[[-1.0, -0.5], [0.0, 0.5]]], [[[1.0, 1.5], [2.0, 2.5]]]],'
+        b' "bias": [0.125, 0.0], "stride": 1, "padding": 0, "input_shape": [1, 3, 3]},'
+        b' {"type": "relu"},'
+        b' {"type": "maxpool", "window": [2, 2], "stride": 1, "input_shape": [2, 2, 2]},'
+        b' {"type": "dense", "weights": [[1.5, -0.0], [0.1, 2.0]], "bias": [0.0, -3.0]}]}\n')
+    save_model(load_model(path), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
 def _pool_conv_net(window=(2, 2), stride=3, padding=0, weight=0.0, relu=True, domain=None):
     """Pool (1, 6, 6) -> (1, 3, 3), 3x3 conv -> (2, 1, 1), ReLU, dense 2 -> 2;
     every variant the arguments allow has the same layer dims."""
@@ -316,7 +337,7 @@ def test_load_csv_rejects_non_finite_features(tmp_path, text, domain):
     path = tmp_path / "points.csv"
     path.write_text(text)
     with pytest.raises(DatasetError, match="^line 2: non-finite feature$"):
-        load_dataset(path, "csv", input_domain=domain)
+        load_dataset(path, "csv", input_dim=2, num_labels=3, input_domain=domain)
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
@@ -324,7 +345,7 @@ def test_load_csv_rejects_non_finite_labels(tmp_path, token):
     path = tmp_path / "points.csv"
     path.write_text(f"1,0.5\n\n{token} ,0.5\n")
     with pytest.raises(DatasetError, match=f"^line 3: non-integer label '{token} '$"):
-        load_dataset(path, "csv", num_labels=3)
+        load_dataset(path, "csv", input_dim=1, num_labels=3)
 
 
 def test_load_csv_rejects_underscored_digits(tmp_path):
@@ -332,7 +353,7 @@ def test_load_csv_rejects_underscored_digits(tmp_path):
     path.write_text("1,0.5\n1,1_0\n")
     with pytest.raises(DatasetError,
                        match="^line 2: could not convert string to float: '1_0'$"):
-        load_dataset(path, "csv")
+        load_dataset(path, "csv", input_dim=1, num_labels=3)
 
 
 @pytest.mark.parametrize("text", ["", "\n", "  \n\t\r\n\n"])
@@ -343,12 +364,9 @@ def test_load_csv_without_rows_is_empty_and_silent(tmp_path, text):
         warnings.simplefilter("error")
         points = load_dataset(path, "csv", input_dim=2, num_labels=3,
                               input_domain=(0.0, 1.0))
-        unsized = load_dataset(path, "csv")
     assert isinstance(points, Dataset) and not points and list(points) == []
-    assert points.X.shape == (0, 2) and unsized.X.shape == (0, 0)
-    for empty in (points, unsized):
-        assert empty.X.dtype == float
-        assert empty.labels.shape == (0,) and empty.labels.dtype == int
+    assert points.X.shape == (0, 2) and points.X.dtype == float
+    assert points.labels.shape == (0,) and points.labels.dtype == int
 
 
 _FAULTS = ["token", "empty", "ragged", "fraction", "range", "domain"]
@@ -397,13 +415,11 @@ def csv_files(draw):
         lines += draw(st.lists(st.sampled_from(["", " ", "\t "]), max_size=2))
         lines.append(",".join(draw(pad) + token + draw(pad) for token in row))
     text = eol.join(lines) + draw(st.sampled_from(["", eol]))
-    kwargs = {"input_dim": draw(st.sampled_from([None, dim])),
-              "num_labels": draw(st.sampled_from([None, num_labels])),
-              "input_domain": domain}
+    kwargs = {"input_dim": dim, "num_labels": num_labels, "input_domain": domain}
     return text, kwargs
 
 
-_LABELS_AND_DOMAIN = {"input_dim": None, "num_labels": 2, "input_domain": (-1.0, 1.0)}
+_LABELS_AND_DOMAIN = {"input_dim": 1, "num_labels": 2, "input_domain": (-1.0, 1.0)}
 
 
 @settings(max_examples=200, deadline=None)
@@ -411,7 +427,7 @@ _LABELS_AND_DOMAIN = {"input_dim": None, "num_labels": 2, "input_domain": (-1.0,
 @example(("0,0.5\n0,1.5\n7,0.5\n", _LABELS_AND_DOMAIN))
 @example(("0,0.5\n7,1.5\n", _LABELS_AND_DOMAIN))
 @example(("0,0.5\n0.5,9,1.5\n", _LABELS_AND_DOMAIN))
-@example(("0\n", {"input_dim": None, "num_labels": None, "input_domain": (-1.0, 1.0)}))
+@example(("0\n", {"input_dim": 0, "num_labels": 1, "input_domain": (-1.0, 1.0)}))
 def test_load_csv_matches_per_line_reference(tmp_path_factory, case):
     text, kwargs = case
     path = tmp_path_factory.getbasetemp() / "parity.csv"
@@ -431,14 +447,14 @@ def test_load_csv_matches_per_line_reference(tmp_path_factory, case):
     assert isinstance(points, Dataset) and points.X.dtype == float and points.labels.dtype == int
     assert points.labels.tolist() == [p.label for p in expected]
     assert points.X.tobytes() == b"".join(p.x.tobytes() for p in expected)
-    assert points.X.shape == (len(expected), expected[0].x.size if expected else 0)
+    assert points.X.shape == (len(expected), kwargs["input_dim"])
 
 
 @pytest.mark.parametrize("bad_line, kwargs, message", [
     ("1,abc", {}, "could not convert string to float: 'abc'"),
     ("1,0.5,0.5", {}, "expected 1 features, got 2"),
     ("1.5,0.5", {}, "non-integer label '1.5'"),
-    ("7,0.5", {"num_labels": 3}, "label 7 out of range [0, 3)"),
+    ("7,0.5", {}, "label 7 out of range [0, 3)"),
     ("1,2.5", {"input_domain": (0.0, 1.0)}, "feature outside domain [0.0, 1.0]"),
 ], ids=["token", "ragged", "fraction", "range", "domain"])
 def test_load_csv_bad_row_after_blank_lines_names_its_line(tmp_path, bad_line, kwargs,
@@ -447,19 +463,8 @@ def test_load_csv_bad_row_after_blank_lines_names_its_line(tmp_path, bad_line, k
     path = tmp_path / "points.csv"
     path.write_text(f"0,0.5\n\n  \n1,0.25\n\t\n2,0.75\n{bad_line}\n\n1,abc\n")
     with pytest.raises(DatasetError) as exc:
-        load_dataset(path, "csv", **kwargs)
+        load_dataset(path, "csv", input_dim=1, num_labels=3, **kwargs)
     assert str(exc.value) == f"line 7: {message}"
-
-
-def test_load_csv_without_num_labels_keeps_labels_in_int64(tmp_path):
-    path = tmp_path / "points.csv"
-    path.write_text("-9223372036854775808,0.5\n-3,0.5\n")
-    assert load_dataset(path, "csv").labels.tolist() == [-2**63, -3]
-    path.write_text("0,0.5\n\n1e19,0.5\n")
-    with pytest.raises(DatasetError) as exc:
-        load_dataset(path, "csv")
-    assert str(exc.value) == ("line 3: label 10000000000000000000 out of range"
-                              " [-9223372036854775808, 9223372036854775808)")
 
 
 def test_dataset_indexing_and_slicing_give_bit_identical_rows(tmp_path):
@@ -470,7 +475,7 @@ def test_dataset_indexing_and_slicing_give_bit_identical_rows(tmp_path):
     path = tmp_path / "points.csv"
     path.write_text("".join(f"{y},{','.join(map(repr, x.tolist()))}\n"
                             for x, y in zip(X, labels)))
-    points = load_dataset(path, "csv", num_labels=4)
+    points = load_dataset(path, "csv", input_dim=3, num_labels=4)
     assert points.X.tobytes() == X.tobytes() and points.labels.tolist() == labels.tolist()
     for i in range(-7, 7):
         point = points[i]
@@ -488,6 +493,18 @@ def test_dataset_indexing_and_slicing_give_bit_identical_rows(tmp_path):
         points[7]
     with pytest.raises(ValueError, match="expected"):
         Dataset(X, labels[:6])
+
+
+@pytest.mark.parametrize("labels, bad", [([0.0, 1.7, 2.2], "item 1: label 1.7"),
+                                         ([0, 1, np.nan], "item 2: label nan"),
+                                         ([-np.inf, 1, 2], "item 0: label -inf"),
+                                         ([0, 2.0**63, 1], "item 1: label 9.223372036854776e+18")])
+def test_dataset_rejects_labels_that_are_not_integers(labels, bad):
+    with pytest.raises(ValueError) as exc:
+        Dataset(np.zeros((3, 2)), labels)
+    assert str(exc.value) == f"{bad} is not an integer"
+    integral = Dataset(np.zeros((3, 2)), [0.0, 1.0, -2.0]).labels
+    assert integral.dtype == int and integral.tolist() == [0, 1, -2]
 
 
 def _write_idx_pair(tmp_path, images, labels, compress=False):
@@ -510,7 +527,7 @@ def test_load_idx_pair(tmp_path):
     images = rng.integers(0, 256, size=(10, 28, 28), dtype=np.uint8)
     labels = rng.integers(0, 10, size=10, dtype=np.uint8)
     img_path, lbl_path = _write_idx_pair(tmp_path, images, labels)
-    points = load_dataset(img_path, "idx", labels_path=lbl_path, num_labels=10)
+    points = load_dataset(img_path, "idx", labels_path=lbl_path, input_dim=784, num_labels=10)
     assert len(points) == 10
     assert points[0].x.shape == (784,)
     assert np.array_equal(points[3].x, images[3].reshape(-1).astype(float))
@@ -521,7 +538,7 @@ def test_load_idx_scales_to_domain(tmp_path):
     images = np.array([[[0, 255], [51, 102]]], dtype=np.uint8)
     labels = np.array([1], dtype=np.uint8)
     img_path, lbl_path = _write_idx_pair(tmp_path, images, labels, compress=True)
-    points = load_dataset(img_path, "idx", labels_path=lbl_path,
+    points = load_dataset(img_path, "idx", labels_path=lbl_path, input_dim=4, num_labels=2,
                           input_domain=(0.0, 1.0))
     assert points[0].x == pytest.approx([0.0, 1.0, 0.2, 0.4])
 
@@ -530,9 +547,10 @@ def test_load_idx_checks_pixel_count_against_input_dim(tmp_path):
     images = np.zeros((3, 2, 2), dtype=np.uint8)
     labels = np.zeros(3, dtype=np.uint8)
     img_path, lbl_path = _write_idx_pair(tmp_path, images, labels)
-    assert len(load_dataset(img_path, "idx", labels_path=lbl_path, input_dim=4)) == 3
+    assert len(load_dataset(img_path, "idx", labels_path=lbl_path, input_dim=4,
+                            num_labels=1)) == 3
     with pytest.raises(DatasetError, match=r"images\.idx: 2x2 = 4 pixels .* input_dim 3"):
-        load_dataset(img_path, "idx", labels_path=lbl_path, input_dim=3)
+        load_dataset(img_path, "idx", labels_path=lbl_path, input_dim=3, num_labels=1)
 
 
 def test_load_idx_label_out_of_range_names_first_bad_item(tmp_path):
@@ -540,9 +558,9 @@ def test_load_idx_label_out_of_range_names_first_bad_item(tmp_path):
     labels = np.array([0, 9, 3, 12, 10], dtype=np.uint8)
     img_path, lbl_path = _write_idx_pair(tmp_path, images, labels)
     with pytest.raises(DatasetError) as exc:
-        load_dataset(img_path, "idx", labels_path=lbl_path, num_labels=10)
+        load_dataset(img_path, "idx", labels_path=lbl_path, input_dim=4, num_labels=10)
     assert str(exc.value) == "item 3: label 12 out of range [0, 10)"
-    points = load_dataset(img_path, "idx", labels_path=lbl_path, num_labels=13)
+    points = load_dataset(img_path, "idx", labels_path=lbl_path, input_dim=4, num_labels=13)
     assert points.labels.tolist() == labels.tolist() and points.X.shape == (5, 4)
 
 
@@ -552,7 +570,7 @@ def test_load_idx_bad_magic(tmp_path):
     lbl_path = tmp_path / "labels.idx"
     lbl_path.write_bytes(struct.pack(">II", 0x801, 1) + b"\0")
     with pytest.raises(DatasetError, match="magic"):
-        load_dataset(img_path, "idx", labels_path=lbl_path)
+        load_dataset(img_path, "idx", labels_path=lbl_path, input_dim=4, num_labels=1)
 
 
 def test_load_idx_count_mismatch(tmp_path):
@@ -563,7 +581,7 @@ def test_load_idx_count_mismatch(tmp_path):
     lbl_path = tmp_path / "labels.idx"
     lbl_path.write_bytes(struct.pack(">II", 0x801, 3) + labels.tobytes())
     with pytest.raises(DatasetError, match="count"):
-        load_dataset(img_path, "idx", labels_path=lbl_path)
+        load_dataset(img_path, "idx", labels_path=lbl_path, input_dim=4, num_labels=1)
 
 
 def test_conv_unroll_matches_naive():

@@ -402,9 +402,9 @@ def test_rho_lower_bound_is_exact_for_one_row():
 
 
 def test_target_lower_bounds_equal_the_per_target_bound():
-    """The one L x L pass over the logits gives every label the bound of its
-    own output rows, on random nets and margins; duplicated logit rows give
-    all-zero output rows, which a positive margin violates (+inf)."""
+    """The one stacked pass over every label's output rows gives each label
+    the bound of its own rows, on random nets and margins; duplicated logit
+    rows give all-zero output rows, which a positive margin violates (+inf)."""
     rng = np.random.default_rng(263)
     infinite = 0
     for trial in range(80):
