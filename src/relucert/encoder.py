@@ -114,7 +114,7 @@ def _propagate(net: Network, choose_relu, choose_pool) -> LinearRegion:
             bias.append(sign * v.bias)
             pattern.append(active)
             v = relu_fix(v, active)
-        elif isinstance(layer, MaxPool):
+        else:  # MaxPool
             windows = layer.windows
             sel = choose_pool(v, windows)
             pooled = maxpool_fix(v, sel, windows)
@@ -126,8 +126,6 @@ def _propagate(net: Network, choose_relu, choose_pool) -> LinearRegion:
             bias.append(v.bias[top] - v.bias[other])
             pattern.append(sel)
             v = pooled
-        else:
-            raise ValueError(f"unsupported layer type {type(layer).__name__}")
     return LinearRegion(np.concatenate(rows), np.concatenate(bias), v, tuple(pattern))
 
 
@@ -176,6 +174,4 @@ def build_disjunctive(net: Network) -> DisjunctiveEncoding:
             layers.append((i, dims[i], 2))
         elif isinstance(layer, MaxPool):
             layers.append((i, *layer.windows.shape))
-        elif not isinstance(layer, (Dense, Conv)):
-            raise ValueError(f"unsupported layer type {type(layer).__name__}")
     return DisjunctiveEncoding(net, tuple(layers))

@@ -244,6 +244,8 @@ class Network:
         dim = self.input_dim
         for i, layer in enumerate(self.layers):
             try:
+                if not isinstance(layer, Layer):
+                    raise ModelError(f"unsupported layer type {type(layer).__name__}")
                 _check_finite(layer)
                 dim = _out_dim(layer, dim)
             except ModelError as exc:
@@ -450,6 +452,14 @@ class Dataset:
         return map(LabeledPoint, self.X, self.labels.tolist())
 
 
+def _check_labels(data: Dataset, num_labels: int):
+    """DatasetError naming the first label of data outside [0, num_labels)."""
+    bad = np.flatnonzero((data.labels < 0) | (data.labels >= num_labels))
+    if len(bad):
+        raise DatasetError(f"item {bad[0]}: label {data.labels[bad[0]]} out of range"
+                           f" [0, {num_labels})")
+
+
 def _row_checks(rows, input_dim, num_labels, input_domain):
     """The checks on parsed rows (label, features...) against the model's
     sizes, in the order integer label, input_dim features, label in [0,
@@ -555,11 +565,9 @@ def _load_idx(path, labels_path, input_dim, num_labels, input_domain):
     if input_domain is not None:
         lo, hi = input_domain
         images = lo + images * (hi - lo) / 255.0
-    bad = np.flatnonzero(labels >= num_labels)
-    if len(bad):
-        raise DatasetError(f"item {bad[0]}: label {labels[bad[0]]} out of range"
-                           f" [0, {num_labels})")
-    return Dataset(images, labels.astype(int))
+    data = Dataset(images, labels.astype(int))
+    _check_labels(data, num_labels)
+    return data
 
 
 def load_dataset(path, fmt="csv", *, input_dim, num_labels, labels_path=None,

@@ -4,9 +4,10 @@ The estimate restricts the search to the affine piece containing the seed:
 minimize the L-infinity perturbation radius subject to the piece's halfspaces
 (lazily enforced) and the constraints making a target label win. The result
 overapproximates the true pointwise robustness because any feasible point of
-the restricted program is a genuine adversarial example. Over several target
-labels, a target whose Hoelder lower bound (target_lower_bounds, from
-lp.holder_bounds) shows it cannot beat the best radius so far is not solved.
+the restricted program is a genuine adversarial example. Each point's output
+rows are built once, for every target at once (output_constraints). Over
+several target labels, a target whose Hoelder lower bound (lp.holder_bounds
+over its rows) shows it cannot beat the best radius so far is not solved.
 """
 
 from __future__ import annotations
@@ -78,14 +79,6 @@ def record_from_json(obj: dict) -> RobustnessRecord:
     )
 
 
-def target_lower_bounds(region, seed, targets, margin: float = 0.0) -> np.ndarray:
-    """For each label t in targets, the largest holder_bounds of its output
-    rows (output_constraints(region, t, margin)), or 0 when the seed violates
-    none: a lower bound on target t's rho."""
-    return holder_bounds(seed, *output_constraints(region, targets, margin)).max(
-        axis=-1, initial=0.0)
-
-
 def pointwise_robustness(net: Network, seed, targets="second", margin: float = 0.0,
                          respect_domain: bool = False, seed_index: int = -1) -> RobustnessRecord:
     """Minimal L-infinity radius to an adversarial example inside the seed's region.
@@ -93,25 +86,28 @@ def pointwise_robustness(net: Network, seed, targets="second", margin: float = 0
     targets: "second" (the runner-up label), "all" (minimum over every other
     label), or a fixed label index. A larger margin never shrinks the result.
 
-    The targets are solved in ascending order of (target_lower_bounds, target),
-    and the loop stops at the first target whose bound exceeds the best rho
-    so far by more than a relative 1e-9: that target and every later one has
-    a larger rho, so none of them can be the minimum. A smaller rho wins and
-    an equal rho goes to the lower target, so the record (rho, target,
-    witness, lazy stats) is the one that solving every target in label order
-    and keeping the strict minimum gives. A found record carries the winning
+    The output rows of every target come from one output_constraints call.
+    With more than one target, they are solved in ascending order of (bound,
+    target), where a target's bound is the largest lp.holder_bounds of its
+    rows (0 when the seed violates none), and the loop stops at the first
+    target whose bound exceeds the best rho so far by more than a relative
+    1e-9: that target and every later one has a larger rho, so none of them
+    can be the minimum. A smaller rho wins and an equal rho goes to the lower
+    target, so the record (rho, target, witness, lazy stats) is the one that
+    solving every target in label order and keeping the strict minimum gives.
+    A single target is always solved. A found record carries the winning
     solve's lazy stats; a record that finds nothing carries the sums over the
     solves it made (the largest final_active_count among them).
 
     Raises ValueError, before any bound or solve, for a seed of the wrong shape
-    or with a non-finite coordinate, a margin that is not finite and >= 0, or
-    a fixed target that is not an int (a bool is not one); SimplexError when a
-    solved target stops short of optimal or infeasible, e.g. at the iteration
-    limit. A skipped target is never solved.
+    or with a non-finite coordinate, a targets string other than 'second' or
+    'all', or a fixed target equal to the predicted label; output_constraints
+    raises it for a margin that is not finite and >= 0 and for a fixed target
+    that is not an int label in [0, L) (a bool is not one). SimplexError when
+    a solved target stops short of optimal or infeasible, e.g. at the
+    iteration limit. A skipped target is never solved.
     """
     seed = _seed_vector(net, seed)
-    if not 0.0 <= margin < math.inf:
-        raise ValueError(f"margin must be finite and >= 0, got {margin}")
     if net.num_labels < 2:
         raise ValueError("certification needs at least two labels")
     logits = forward(net, seed)
@@ -120,31 +116,29 @@ def pointwise_robustness(net: Network, seed, targets="second", margin: float = 0
         candidates = [_runner_up(logits, label)]
     elif targets == "all":
         candidates = [t for t in range(net.num_labels) if t != label]
-    elif isinstance(targets, (int, np.integer)) and not isinstance(targets, bool):
-        target = int(targets)
-        if target == label:
-            raise ValueError(f"fixed target {target} equals the predicted label")
-        if not 0 <= target < net.num_labels:
-            raise ValueError(f"target {target} out of range [0, {net.num_labels})")
-        candidates = [target]
-    else:
+    elif isinstance(targets, str):
         raise ValueError(f"targets must be 'second', 'all' or an int label, got {targets!r}")
-
-    domain = net.input_domain if respect_domain else None
-    region = extract_region(net, seed)
-    if len(candidates) == 1:
-        order = [(0.0, candidates[0])]  # the first target is always solved
     else:
-        bounds = target_lower_bounds(region, seed, candidates, margin)
-        order = sorted(zip(bounds.tolist(), candidates))
+        candidates = [targets]
+    region = extract_region(net, seed)
+    G, h = output_constraints(region, candidates, margin)
+    candidates = [int(t) for t in candidates]  # a numpy label is recorded as an int
+    if label in candidates:
+        raise ValueError(f"fixed target {label} equals the predicted label")
+    domain = net.input_domain if respect_domain else None
+    if len(candidates) == 1:
+        bounds = [0.0]  # the only target is always solved
+    else:
+        bounds = holder_bounds(seed, G, h).max(axis=-1, initial=0.0).tolist()
     best = RobustnessRecord(seed_index, label, candidates[0] if len(candidates) == 1 else None,
                             INFINITE_RHO)
     spent = []
-    for bound, target in order:
-        if bound > best.rho_hat + 1e-9 * (1.0 + best.rho_hat):
+    # a stable sort: equal bounds keep label order
+    for k in sorted(range(len(candidates)), key=bounds.__getitem__):
+        if bounds[k] > best.rho_hat + 1e-9 * (1.0 + best.rho_hat):
             break
-        G, h = output_constraints(region, target, margin)
-        solution, stats = lazy_solve(seed, region.constraints, region.bias, G, h, domain)
+        target = candidates[k]
+        solution, stats = lazy_solve(seed, region.constraints, region.bias, G[k], h[k], domain)
         spent.append(stats)
         if not solved(solution, f"target {target}"):
             continue

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Dataset, Dense, Network, Relu, classify, forward_batch
+from .model import Dataset, Dense, Network, Relu, _check_labels, classify, forward_batch
 from .robustness import extract_adversarial, pointwise_robustness
 from .lp import SimplexError
 
@@ -100,13 +100,6 @@ def input_gradient(net: Network, x, label: int) -> np.ndarray:
     """d loss(f(x), label) / dx for a single input."""
     _, grad = loss_and_gradients(net, np.asarray(x, dtype=float)[None, :], [label])
     return grad.input[0]
-
-
-def _check_labels(data: Dataset, num_labels: int):
-    bad = ((data.labels < 0) | (data.labels >= num_labels)).nonzero()[0]
-    if len(bad):
-        raise ValueError(f"item {bad[0]}: label {data.labels[bad[0]]} out of range"
-                         f" [0, {num_labels})")
 
 
 def train(net: Network, data: Dataset, cfg: TrainConfig) -> Network:

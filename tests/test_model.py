@@ -3,6 +3,7 @@ import json
 import math
 import struct
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -143,6 +144,18 @@ def test_network_validation():
         Network([Dense(np.eye(2), np.zeros(2))], 2, 3)
     with pytest.raises(ModelError, match="layer 0"):
         Network([Dense(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros(2))], 2, 2)
+
+
+def test_network_rejects_a_layer_of_another_type():
+    """A layer with in_dim and out_dim that is none of the four layer classes
+    built a Network whose forward died on an AttributeError."""
+    @dataclass(frozen=True)
+    class Odd:
+        in_dim: int = 2
+        out_dim: int = 2
+
+    with pytest.raises(ModelError, match=r"^layer 1: unsupported layer type Odd$"):
+        Network([Dense(np.eye(2), np.zeros(2)), Odd()], 2, 2)
 
 
 def test_model_round_trip(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from relucert import (Dense, LPSolution, Network, Relu, SimplexError, classify,
                       pointwise_robustness, record_from_json, record_to_json,
                       verify_record)
 from relucert.lp import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, LazyStats, holder_bounds
-from relucert.robustness import RobustnessRecord, target_lower_bounds
+from relucert.robustness import RobustnessRecord
 from helpers import highs_min_eps, naive_forward, random_dense_relu_net
 
 DATA = Path(__file__).parent / "data"
@@ -416,13 +417,18 @@ def test_target_lower_bounds_equal_the_per_target_bound():
         seed = rng.normal(size=dims[0])
         margin = float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
         region = extract_region(net, seed)
+
+        def stacked_bounds(targets):
+            return holder_bounds(seed, *output_constraints(region, targets, margin)).max(
+                axis=-1, initial=0.0)
+
         labels = list(range(dims[-1]))
-        bounds = target_lower_bounds(region, seed, labels, margin)
+        bounds = stacked_bounds(labels)
         assert bounds.shape == (dims[-1],)
         for t in labels:
             ref = holder_bounds(seed, *output_constraints(region, t, margin)).max(initial=0.0)
             assert bounds[t] == pytest.approx(ref, rel=1e-9, abs=1e-12)
-            assert target_lower_bounds(region, seed, [t], margin)[0] == bounds[t]
+            assert stacked_bounds([t])[0] == bounds[t]
             infinite += ref == math.inf
     assert infinite >= 5
 
@@ -517,7 +523,7 @@ def test_margin_not_finite_and_nonnegative_is_rejected_before_any_bound_or_solve
     def unreachable(*args, **kwargs):
         raise AssertionError("a bound or a solve ran")
 
-    monkeypatch.setattr(relucert.robustness, "target_lower_bounds", unreachable)
+    monkeypatch.setattr(relucert.robustness, "holder_bounds", unreachable)
     monkeypatch.setattr(relucert.robustness, "lazy_solve", unreachable)
     with pytest.raises(ValueError, match="margin must be finite and >= 0"):
         pointwise_robustness(net, np.zeros(3), targets=targets, margin=margin)
@@ -525,8 +531,11 @@ def test_margin_not_finite_and_nonnegative_is_rejected_before_any_bound_or_solve
 
 @pytest.mark.parametrize("targets", [2.7, True, np.bool_(True), "2", None])
 def test_fixed_target_must_be_an_int(gradient_trap_net, targets):
-    """2.7 solved target 2 and True target 1."""
-    with pytest.raises(ValueError, match="targets must be 'second', 'all' or an int label"):
+    """2.7 solved target 2 and True target 1. A string is not a label;
+    output_constraints rejects every other target that is not an int."""
+    message = ("targets must be 'second', 'all' or an int label" if isinstance(targets, str)
+               else "target must be an int label")
+    with pytest.raises(ValueError, match=message):
         pointwise_robustness(gradient_trap_net, np.array([0.0]), targets=targets)
 
 
@@ -534,3 +543,27 @@ def test_fixed_target_may_be_a_numpy_integer(gradient_trap_net):
     records = [pointwise_robustness(gradient_trap_net, np.array([0.0]), targets=t)
                for t in (2, np.int64(2), np.uint8(2))]
     assert {(r.target_label, r.rho_hat) for r in records} == {(2, records[0].rho_hat)}
+    for r in records:
+        assert type(r.target_label) is int
+        json.dumps(record_to_json(r))
+
+
+@pytest.mark.parametrize("targets", ["second", "all", "fixed"])
+def test_output_rows_are_built_once_per_point(monkeypatch, targets):
+    """Every target's output rows come from one output_constraints call, which
+    both the target bounds and the solves read."""
+    rng = np.random.default_rng(31)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return output_constraints(*args, **kwargs)
+
+    monkeypatch.setattr(relucert.robustness, "output_constraints", spy)
+    for _ in range(10):
+        net = random_dense_relu_net(rng, [3, 6, 5])
+        seed = rng.normal(size=3)
+        target = (classify(net, seed) + 1) % 5 if targets == "fixed" else targets
+        calls.clear()
+        pointwise_robustness(net, seed, targets=target)
+        assert len(calls) == 1
